@@ -27,7 +27,7 @@ def _load(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return parse_document(fh.read())
-    except OSError as err:
+    except (OSError, UnicodeDecodeError) as err:
         raise InputError(f"cannot read {path}: {err}") from None
 
 

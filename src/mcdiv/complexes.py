@@ -45,6 +45,9 @@ class MetrizedComplex:
         self.lift_points = dict(lift_points or {})
         for v, p in self.lift_points.items():
             self.oracles[v].validate_point(p)
+        # memo tables of the rank engine; they only ever gain entries
+        self.nonneg_memo = {}  # (divisor key, base point) -> bool
+        self.shortcut_validated = False
 
     # -- structure queries ------------------------------------------------
 
@@ -71,15 +74,24 @@ class MetrizedComplex:
             d[p] = d.get(p, 0) + 1
         return CurveDivisor(o, d)
 
+    def vertex_twist(self, v, potential) -> CurveDivisor:
+        """div_v of an integer vertex potential: slope differences placed
+        on the marked points of the curve at v."""
+        o = self.oracles[v]
+        out = o.zero_divisor()
+        for e, end in self.model.incident_edges(v):
+            other = e.v if end == 0 else e.u
+            s = potential[other] - potential[v]
+            if s:
+                out = out + o.divisor((self.marked_point(v, e.name, end), s))
+        return out
+
     def lift_point(self, v):
-        """Deterministic curve point used to lift graph chips onto C_v."""
+        """Deterministic curve point used to lift graph chips onto C_v: the
+        declared one, or else the first unmarked sample point."""
         if v in self.lift_points:
             return self.lift_points[v]
-        o = self.oracles[v]
-        marked = list(self.marks[v].values())
-        pt = o.sample_points(1, avoid=marked)[0]
-        self.lift_points[v] = pt
-        return pt
+        return self.oracles[v].sample_points(1, avoid=list(self.marks[v].values()))[0]
 
     # -- divisors ----------------------------------------------------------
 
@@ -265,18 +277,6 @@ class ComplexRationalFunction:
             if d.coeffs:
                 curves[v] = d
         return ComplexDivisor(self.cx, GraphDivisor(graph), curves)
-
-
-def div_of(f: ComplexRationalFunction) -> ComplexDivisor:
-    return f.divisor()
-
-
-def genus(cx: MetrizedComplex) -> int:
-    return cx.genus()
-
-
-def canonical(cx: MetrizedComplex) -> ComplexDivisor:
-    return cx.canonical()
 
 
 # -- chip-firing moves ----------------------------------------------------

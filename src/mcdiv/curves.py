@@ -78,8 +78,6 @@ class CurveOracle:
     """Interface shared by all vertex-curve models."""
 
     genus = 0
-    has_explicit_functions = False
-    can_enumerate_classes = False
 
     def divisor(self, *pairs):
         d = {}
@@ -123,8 +121,6 @@ class P1Oracle(CurveOracle):
     """The projective line: every divisor class is determined by its degree."""
 
     genus = 0
-    has_explicit_functions = True
-    can_enumerate_classes = True
 
     def __init__(self, field=QQ):
         self.field = field
@@ -408,8 +404,6 @@ class TableOracle(CurveOracle):
     curve Riemann-Roch identity and rejects inconsistent data.
     """
 
-    can_enumerate_classes = True
-
     def __init__(self, genus, moduli, points, rank_table, canonical_class):
         self.genus = int(genus)
         self.moduli = tuple(int(m) for m in moduli)
@@ -537,11 +531,7 @@ class TableOracle(CurveOracle):
         deg, cls = self.class_of(d)
         if self.table_rank(deg, cls) < 0:
             raise InputError("no effective representative")
-        combo = self._rep_combo(deg, cls)
-        out = {}
-        for lab in combo:
-            out[lab] = out.get(lab, 0) + 1
-        return CurveDivisor(self, out)
+        return self._divisor_in_class(deg, cls)
 
     def _rep_combo(self, deg, cls):
         if (deg, cls) in self._reps:

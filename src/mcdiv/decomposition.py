@@ -12,7 +12,7 @@ from fractions import Fraction
 
 from .complexes import ComplexDivisor, MetrizedComplex, graphical_complex
 from .curves import CurveOracle
-from .errors import BudgetError, InputError
+from .errors import BudgetError, FieldTooSmallError, InputError
 from .metric import GraphDivisor, GraphModel, GraphPoint
 from .rank import point_divisor, rank
 
@@ -101,11 +101,9 @@ class GluedComplex:
                     self.edge_map[(side, p.where)], p.offset
                 )
             graph.append((q, c))
-        curves = {}
-        for v, dv in d.curves.items():
-            nv = self.vertex_map[(side, v)]
-            o = self.complex.oracles[nv]
-            curves[nv] = CurveDivisorBridge.carry(dv, o)
+        # the glued complex shares the pieces' oracles; the divisor
+        # constructor rejects a curve part built on any other oracle
+        curves = {self.vertex_map[(side, v)]: dv for v, dv in d.curves.items()}
         return self.complex.divisor(graph_pairs=graph, curve_parts=curves)
 
     def lift_point(self, side: int, pt):
@@ -115,15 +113,6 @@ class GluedComplex:
             return self.complex.model.point_on(self.edge_map[(side, pt.where)], pt.offset)
         v, p = pt
         return (self.vertex_map[(side, v)], p)
-
-
-class CurveDivisorBridge:
-    @staticmethod
-    def carry(dv, new_oracle):
-        # oracles are shared between the piece and the glued complex
-        if dv.oracle is not new_oracle:
-            raise InputError("glued complex must reuse the piece's oracles")
-        return dv
 
 
 def glue(cx1, x1, cx2, x2, bridge_length=Fraction(1)) -> GluedComplex:
@@ -240,24 +229,16 @@ def wedge_model(model1: GraphModel, v1: str, model2: GraphModel, v2: str):
 
 def graph_rank(model: GraphModel, d: GraphDivisor, seed=0) -> int:
     """Rank of a divisor on a bare metric graph."""
-    cx = _graphical(model)
+    cx = graphical_complex(model)
     return rank(cx, cx.lift_graph_divisor(d), seed=seed)
-
-
-def _graphical(model):
-    cx = getattr(model, "_graphical_cx", None)
-    if cx is None:
-        cx = graphical_complex(model)
-        model._graphical_cx = cx
-    return cx
 
 
 def wedge_rank(model1, d1, v1, model2, d2, v2, seed=0) -> int:
     """The wedge formula: min over k of k + rank(side 1 twisted down by
     the side-2 threshold at the joint)."""
-    cx2 = _graphical(model2)
+    cx2 = graphical_complex(model2)
     eta2 = EtaFunction(cx2, cx2.lift_graph_divisor(d2), model2.vertex_point(v2), seed)
-    cx1 = _graphical(model1)
+    cx1 = graphical_complex(model1)
     base1 = cx1.lift_graph_divisor(d1)
     vp1 = model1.vertex_point(v1)
     cap = max(d1.degree() + d2.degree() + cx2.genus() + 1, 0)
@@ -303,6 +284,7 @@ class WeightedGraph:
 def weighted_rank(wg: WeightedGraph, d: GraphDivisor, seed=0) -> int:
     """min over 0 <= E <= weights of deg(E) + rank(d - 2E) on the bare
     graph; equals the rank of d on the loop-augmented graph."""
+    cx = graphical_complex(wg.model)
     vs = [v for v in wg.model.vertices if wg.weight(v) > 0]
     ranges = [range(wg.weight(v) + 1) for v in vs]
     best = None
@@ -310,7 +292,7 @@ def weighted_rank(wg: WeightedGraph, d: GraphDivisor, seed=0) -> int:
         e = GraphDivisor(
             {wg.model.vertex_point(v): c for v, c in zip(vs, combo) if c}
         )
-        term = e.degree() + graph_rank(wg.model, d - e.scale(2), seed=seed)
+        term = e.degree() + rank(cx, cx.lift_graph_divisor(d - e.scale(2)), seed=seed)
         if best is None or term < best:
             best = term
     return best
@@ -363,6 +345,7 @@ def wrank3_bound(cx: MetrizedComplex, d: ComplexDivisor, coeff_cap=2, seed=0,
             k: eta_v(o, d.curve_part(v), marks, k, bound=eta_bound)
             for k in range(coeff_cap + 1)
         }
+    gcx = graphical_complex(cx.model)
     best = None
     for combo in itertools.product(range(coeff_cap + 1), repeat=len(vs)):
         twist = GraphDivisor(
@@ -372,7 +355,7 @@ def wrank3_bound(cx: MetrizedComplex, d: ComplexDivisor, coeff_cap=2, seed=0,
                 if etas[v][c]
             }
         )
-        term = sum(combo) + graph_rank(cx.model, d_gamma - twist, seed=seed)
+        term = sum(combo) + rank(gcx, gcx.lift_graph_divisor(d_gamma - twist), seed=seed)
         if best is None or term < best:
             best = term
     return best
@@ -396,7 +379,7 @@ def bn_grid(cx, max_den=4):
         marked = list(cx.marks[v].values())
         try:
             samples = o.sample_points(o.genus + 2, avoid=marked)
-        except Exception:
+        except FieldTooSmallError:
             samples = o.sample_points(1)
         pts.extend((v, p) for p in samples)
     for name, e in sorted(cx.model.edges.items()):

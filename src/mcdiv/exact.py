@@ -289,16 +289,7 @@ class Poly:
         """Multiplicity of the root a (0 if p(a) != 0)."""
         if self.is_zero():
             raise InputError("zero polynomial")
-        m = 0
-        p = self
-        t_minus_a = Poly.make(self.field, [-self.field.elem(a), 1])
-        while True:
-            q, r = p.divmod(t_minus_a)
-            if r.is_zero():
-                m += 1
-                p = q
-            else:
-                return m
+        return _val0(self.shifted(a))
 
     def rational_roots(self):
         """Roots lying in the base field, with multiplicity, plus the

@@ -6,6 +6,7 @@ Rationals travel as "p/q" strings so exactness survives round trips.
 from __future__ import annotations
 
 import json
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -20,8 +21,27 @@ from .metric import GraphDivisor, GraphModel
 FORMAT_VERSION = 1
 
 
+class _PathError(InputError):
+    """An input error that already names its place in the document."""
+
+
 def _fail(path, msg):
-    raise InputError(f"{path}: {msg}")
+    raise _PathError(f"{path}: {msg}")
+
+
+@contextmanager
+def _at(path):
+    """Report an error raised below `path` that does not name its own place
+    (a JSON value of the wrong shape, or a rejection by a constructor that
+    knows nothing of the document) as an input error at `path`."""
+    try:
+        yield
+    except _PathError:
+        raise
+    except InputError as err:
+        _fail(path, str(err))
+    except (ArithmeticError, AttributeError, LookupError, TypeError, ValueError) as err:
+        _fail(path, f"malformed value ({err})")
 
 
 def parse_rational(s, path):
@@ -43,7 +63,8 @@ def parse_field(spec, path):
     if spec in ("Q", "QQ", None):
         return QQ
     if isinstance(spec, int):
-        return PrimeField(spec)
+        with _at(path):
+            return PrimeField(spec)
     _fail(path, f"unknown field {spec!r}")
 
 
@@ -63,12 +84,8 @@ def parse_curve_point(oracle, obj, path):
         if obj == {"O": True}:
             return O_POINT
         if isinstance(obj, dict) and "x" in obj and "y" in obj:
-            try:
+            with _at(path):
                 return oracle.point(int(obj["x"]), int(obj["y"]))
-            except (ValueError, TypeError):
-                _fail(path, "elliptic point coordinates must be integers")
-            except InputError as err:
-                _fail(path, str(err))
         _fail(path, "elliptic point wants {'O': true} or {'x':.., 'y':..}")
     if isinstance(oracle, TableOracle):
         if isinstance(obj, dict) and "label" in obj:
@@ -96,16 +113,12 @@ def curve_point_json(oracle, p):
 
 def parse_graph_point(model: GraphModel, obj, path):
     if isinstance(obj, dict) and "vertex" in obj:
-        try:
+        with _at(path):
             return model.vertex_point(obj["vertex"])
-        except InputError as err:
-            _fail(path, str(err))
     if isinstance(obj, dict) and "edge" in obj:
         off = parse_rational(obj.get("offset", 0), path + ".offset")
-        try:
+        with _at(path):
             return model.point_on(obj["edge"], off)
-        except InputError as err:
-            _fail(path, str(err))
     _fail(path, "graph point wants {'vertex': ...} or {'edge':.., 'offset':..}")
 
 
@@ -127,9 +140,10 @@ def parse_oracle(spec, path):
         for k in ("p", "a", "b"):
             if k not in spec:
                 _fail(path, f"elliptic oracle needs '{k}'")
-        return EllipticOracle(int(spec["p"]), int(spec["a"]), int(spec["b"]))
+        with _at(path):
+            return EllipticOracle(int(spec["p"]), int(spec["a"]), int(spec["b"]))
     if t == "table":
-        try:
+        with _at(path):
             table = {}
             for row in spec["rank_table"]:
                 deg, cls, r = row
@@ -141,8 +155,6 @@ def parse_oracle(spec, path):
                 table,
                 tuple(spec["canonical_class"]),
             )
-        except (KeyError, ValueError, TypeError) as err:
-            _fail(path, f"bad table oracle: {err}")
     _fail(path, f"unknown oracle type {t!r}")
 
 
@@ -155,12 +167,10 @@ def parse_ratfunc(field_obj, obj, path):
             return q.numerator
         return q
 
-    try:
+    with _at(path):
         num = Poly.make(field_obj, [coeff(c) for c in obj["num"]])
         den = Poly.make(field_obj, [coeff(c) for c in obj.get("den", ["1"])])
         return RationalFunc.make(num, den)
-    except (KeyError, ValueError, ZeroDivisionError) as err:
-        _fail(path, f"bad rational function: {err}")
 
 
 def ratfunc_json(f: RationalFunc):
@@ -186,27 +196,29 @@ class Document:
 
 
 def _parse_model(obj, path):
-    if "vertices" not in obj or "edges" not in obj:
+    if not isinstance(obj, dict) or "vertices" not in obj or "edges" not in obj:
         _fail(path, "complex wants 'vertices' and 'edges'")
-    names = []
-    for i, v in enumerate(obj["vertices"]):
-        if "name" not in v:
-            _fail(f"{path}.vertices[{i}]", "vertex wants a 'name'")
-        names.append(v["name"])
-    edges = []
-    for i, e in enumerate(obj["edges"]):
-        p = f"{path}.edges[{i}]"
-        for k in ("name", "ends", "length"):
-            if k not in e:
-                _fail(p, f"edge wants '{k}'")
-        length = parse_rational(e["length"], p + ".length")
-        if length <= 0:
-            _fail(p + ".length", "edge length must be positive")
-        edges.append((e["name"], e["ends"][0], e["ends"][1], length))
-    try:
+    with _at(path):
+        names = []
+        for i, v in enumerate(obj["vertices"]):
+            if not isinstance(v, dict) or not isinstance(v.get("name"), str):
+                _fail(f"{path}.vertices[{i}]", "vertex wants a string 'name'")
+            names.append(v["name"])
+        edges = []
+        for i, e in enumerate(obj["edges"]):
+            p = f"{path}.edges[{i}]"
+            if not isinstance(e, dict) or not isinstance(e.get("name"), str):
+                _fail(p, "edge wants a string 'name'")
+            for k in ("ends", "length"):
+                if k not in e:
+                    _fail(p, f"edge wants '{k}'")
+            if not isinstance(e["ends"], list) or len(e["ends"]) != 2:
+                _fail(p + ".ends", "edge wants a list of two vertex names")
+            length = parse_rational(e["length"], p + ".length")
+            if length <= 0:
+                _fail(p + ".length", "edge length must be positive")
+            edges.append((e["name"], e["ends"][0], e["ends"][1], length))
         return GraphModel(names, edges)
-    except InputError as err:
-        _fail(path, str(err))
 
 
 def _parse_complex(obj, path):
@@ -224,6 +236,8 @@ def _parse_complex(obj, path):
         oracles[name] = o
         marks[name] = {}
         raw_marks = v.get("marks", {})
+        if not isinstance(raw_marks, dict):
+            _fail(p + ".marks", "marks want an object keyed by 'edge:end'")
         for key, ptobj in raw_marks.items():
             if ":" not in key:
                 _fail(f"{p}.marks.{key}", "mark key wants 'edge:end'")
@@ -233,36 +247,38 @@ def _parse_complex(obj, path):
             marks[name][(ename, int(end))] = parse_curve_point(
                 o, ptobj, f"{p}.marks.{key}"
             )
-    try:
+    with _at(path):
         return MetrizedComplex(model, oracles, marks)
-    except InputError as err:
-        _fail(path, str(err))
 
 
 def _parse_divisor(cx, obj, path):
-    graph = []
-    for i, pair in enumerate(obj.get("graph", [])):
-        p = f"{path}.graph[{i}]"
-        try:
-            pt_obj, coeff = pair
-        except (ValueError, TypeError):
-            _fail(p, "graph entry wants [point, coeff]")
-        graph.append((parse_graph_point(cx.model, pt_obj, p), int(coeff)))
-    curves = {}
-    for v, pairs in obj.get("curves", {}).items():
-        p = f"{path}.curves.{v}"
-        if not cx.is_oracle_vertex(v):
-            _fail(p, f"vertex {v} carries no curve")
-        o = cx.oracles[v]
-        d = o.zero_divisor()
-        for i, pair in enumerate(pairs):
-            pt = parse_curve_point(o, pair[0], f"{p}[{i}]")
-            d = d + o.divisor((pt, int(pair[1])))
-        curves[v] = d
-    try:
+    if not isinstance(obj, dict):
+        _fail(path, "divisor wants an object with 'graph' and/or 'curves'")
+    with _at(path):
+        graph = []
+        for i, pair in enumerate(obj.get("graph", [])):
+            p = f"{path}.graph[{i}]"
+            with _at(p):
+                pt_obj, coeff = pair
+                graph.append((parse_graph_point(cx.model, pt_obj, p), int(coeff)))
+        curves = {}
+        for v, pairs in obj.get("curves", {}).items():
+            p = f"{path}.curves.{v}"
+            if not cx.is_oracle_vertex(v):
+                _fail(p, f"vertex {v} carries no curve")
+            curves[v] = _parse_curve_divisor(cx.oracles[v], pairs, p)
         return cx.divisor(graph_pairs=graph, curve_parts=curves)
-    except InputError as err:
-        _fail(path, str(err))
+
+
+def _parse_curve_divisor(o, pairs, path):
+    """A curve divisor given as a list of [point, coefficient] pairs."""
+    if not isinstance(pairs, list):
+        _fail(path, "curve divisor wants a list of [point, coefficient] pairs")
+    d = o.zero_divisor()
+    for i, pair in enumerate(pairs):
+        with _at(f"{path}[{i}]"):
+            d = d + o.divisor((parse_curve_point(o, pair[0], f"{path}[{i}]"), int(pair[1])))
+    return d
 
 
 def divisor_json(cx, d):
@@ -280,69 +296,83 @@ def divisor_json(cx, d):
     return {"graph": graph, "curves": curves}
 
 
+def _section(raw, key):
+    """The named entries of an optional top-level section."""
+    entries = raw.get(key, {})
+    if not isinstance(entries, dict):
+        _fail(key, "section wants an object keyed by name")
+    return entries.items()
+
+
 def parse_document(text: str) -> Document:
     try:
         raw = json.loads(text)
     except json.JSONDecodeError as err:
         raise InputError(f"not valid JSON: {err}") from None
     if not isinstance(raw, dict):
-        raise InputError("document root must be an object")
+        _fail("document", "root must be an object")
     if raw.get("format", FORMAT_VERSION) != FORMAT_VERSION:
-        raise InputError(f"unsupported format version {raw.get('format')}")
+        _fail("format", f"unsupported format version {raw.get('format')}")
     if "complex" not in raw:
         _fail("document", "missing 'complex'")
     cx = _parse_complex(raw["complex"], "complex")
-    doc = Document(complex=cx, seed=int(raw.get("seed", 0)), raw=raw)
+    with _at("seed"):
+        seed = int(raw.get("seed", 0))
+    doc = Document(complex=cx, seed=seed, raw=raw)
     if "complex2" in raw:
         doc.complex2 = _parse_complex(raw["complex2"], "complex2")
     if "glue" in raw:
         doc.glue_spec = raw["glue"]
-    for name, obj in raw.get("divisors", {}).items():
+    for name, obj in _section(raw, "divisors"):
         doc.divisors[name] = _parse_divisor(cx, obj, f"divisors.{name}")
-    for name, obj in raw.get("function_spaces", {}).items():
+    for name, obj in _section(raw, "function_spaces"):
         p = f"function_spaces.{name}"
-        v = obj.get("vertex")
-        if not cx.is_oracle_vertex(v):
-            _fail(p, f"vertex {v!r} carries no curve")
-        o = cx.oracles[v]
-        if not isinstance(o, P1Oracle):
-            _fail(p, "function spaces need a projective-line vertex")
-        basis = [
-            parse_ratfunc(o.field, b, f"{p}.basis[{i}]")
-            for i, b in enumerate(obj.get("basis", []))
-        ]
-        try:
+        with _at(p):
+            v = obj.get("vertex")
+            if not cx.is_oracle_vertex(v):
+                _fail(p, f"vertex {v!r} carries no curve")
+            o = cx.oracles[v]
+            if not isinstance(o, P1Oracle):
+                _fail(p, "function spaces need a projective-line vertex")
+            basis = [
+                parse_ratfunc(o.field, b, f"{p}.basis[{i}]")
+                for i, b in enumerate(obj.get("basis", []))
+            ]
             doc.spaces[name] = (v, FunctionSpace(o, basis))
-        except InputError as err:
-            _fail(p, str(err))
-    for name, obj in raw.get("weighted_graphs", {}).items():
+    for name, obj in _section(raw, "weighted_graphs"):
         p = f"weighted_graphs.{name}"
         model = _parse_model(obj, p)
-        weights = {v: int(w) for v, w in obj.get("weights", {}).items()}
-        divisors = {}
-        for dn, pairs in obj.get("divisors", {}).items():
-            dd = {}
-            for i, pair in enumerate(pairs):
-                pt = parse_graph_point(model, pair[0], f"{p}.divisors.{dn}[{i}]")
-                dd[pt] = dd.get(pt, 0) + int(pair[1])
-            divisors[dn] = GraphDivisor(dd)
-        try:
+        with _at(p):
+            weights = {v: int(w) for v, w in obj.get("weights", {}).items()}
+            divisors = {}
+            for dn, pairs in obj.get("divisors", {}).items():
+                dd = {}
+                for i, pair in enumerate(pairs):
+                    with _at(f"{p}.divisors.{dn}[{i}]"):
+                        pt = parse_graph_point(model, pair[0], f"{p}.divisors.{dn}[{i}]")
+                        dd[pt] = dd.get(pt, 0) + int(pair[1])
+                divisors[dn] = GraphDivisor(dd)
             doc.weighted[name] = (WeightedGraph(model, weights), divisors)
-        except InputError as err:
-            _fail(p, str(err))
-    for name, obj in raw.get("limit_series", {}).items():
+    for name, obj in _section(raw, "limit_series"):
         p = f"limit_series.{name}"
-        root = obj.get("root")
-        if root not in cx.model.vertices:
-            _fail(p, f"unknown root {root!r}")
-        d = int(obj.get("degree", 0))
-        r = int(obj.get("rank", 0))
-        aspects = {}
-        for v, a in obj.get("aspects", {}).items():
-            pa = f"{p}.aspects.{v}"
-            if not cx.is_oracle_vertex(v):
-                _fail(pa, f"vertex {v} carries no curve")
-            o = cx.oracles[v]
+        with _at(p):
+            doc.limit_series[name] = _parse_limit_series(cx, obj, p)
+    return doc
+
+
+def _parse_limit_series(cx, obj, p):
+    root = obj.get("root")
+    if root not in cx.model.vertices:
+        _fail(p, f"unknown root {root!r}")
+    d = int(obj.get("degree", 0))
+    r = int(obj.get("rank", 0))
+    aspects = {}
+    for v, a in obj.get("aspects", {}).items():
+        pa = f"{p}.aspects.{v}"
+        if not cx.is_oracle_vertex(v):
+            _fail(pa, f"vertex {v} carries no curve")
+        o = cx.oracles[v]
+        with _at(pa):
             if "table" in a:
                 seqs = {}
                 for i, row in enumerate(a["table"]):
@@ -350,25 +380,13 @@ def parse_document(text: str) -> Document:
                     seqs[pt] = tuple(int(x) for x in row[1])
                 aspects[v] = VanishingTable(seqs)
                 continue
-            div = o.zero_divisor()
-            for i, pair in enumerate(a.get("divisor", [])):
-                pt = parse_curve_point(o, pair[0], f"{pa}.divisor[{i}]")
-                div = div + o.divisor((pt, int(pair[1])))
+            div = _parse_curve_divisor(o, a.get("divisor", []), f"{pa}.divisor")
             basis = [
                 parse_ratfunc(o.field, b, f"{pa}.basis[{i}]")
                 for i, b in enumerate(a.get("basis", []))
             ]
-            try:
-                aspects[v] = Aspect(div, FunctionSpace(o, basis))
-            except InputError as err:
-                _fail(pa, str(err))
-        doc.limit_series[name] = {
-            "root": root,
-            "degree": d,
-            "rank": r,
-            "aspects": aspects,
-        }
-    return doc
+            aspects[v] = Aspect(div, FunctionSpace(o, basis))
+    return {"root": root, "degree": d, "rank": r, "aspects": aspects}
 
 
 def serialize_document(doc: Document) -> str:

@@ -14,7 +14,7 @@ from .complexes import ComplexDivisor, MetrizedComplex
 from .curves import AuditReport, CurveDivisor, P1Oracle
 from .errors import FieldTooSmallError, InputError, McdivError
 from .exact import INF, MatrixF, Poly, RationalFunc, kernel_dim, laurent_at, ord_at
-from .rank import Site, point_divisor, rank
+from .rank import Site, point_divisor, rank, site_divisor
 
 
 class FunctionSpace:
@@ -36,6 +36,7 @@ class FunctionSpace:
                 raise InputError("basis denominators must split over the field")
         if self._dependent():
             raise InputError("basis is linearly dependent")
+        self.meets_memo = {}  # bound key -> bool; only ever gains entries
 
     @property
     def dim(self):
@@ -110,10 +111,7 @@ class FunctionSpace:
 
     def subspace_meets(self, bound: CurveDivisor) -> bool:
         """Whether some nonzero element f has div(f) + bound >= 0."""
-        cache = getattr(self, "_meets_cache", None)
-        if cache is None:
-            cache = {}
-            self._meets_cache = cache
+        cache = self.meets_memo
         key = bound.key()
         if key in cache:
             return cache[key]
@@ -373,17 +371,6 @@ def _restricted_sites(cx, d, spaces, fresh=2, offset=0):
     return sites
 
 
-def _vertex_twist(cx, f_values, v) -> CurveDivisor:
-    o = cx.oracles[v]
-    out = o.zero_divisor()
-    for e, end in cx.model.incident_edges(v):
-        other = e.v if end == 0 else e.u
-        s = f_values[other] - f_values[v]
-        if s:
-            out = out + o.divisor((cx.marked_point(v, e.name, end), s))
-    return out
-
-
 def _restricted_feasible(cx, d, e_div, spaces, bound):
     """Whether some integer vertex potential and per-vertex elements of
     the given spaces make d - e_div + div(f) effective."""
@@ -415,7 +402,7 @@ def _restricted_feasible(cx, d, e_div, spaces, bound):
         if not ok:
             continue
         for v in cx.oracle_vertices():
-            need = d.curve_part(v) + _vertex_twist(cx, f, v) - e_div.curve_part(v)
+            need = d.curve_part(v) + cx.vertex_twist(v, f) - e_div.curve_part(v)
             if not spaces[v].subspace_meets(need):
                 ok = False
                 break
@@ -456,7 +443,7 @@ def restricted_rank(cx, d: ComplexDivisor, spaces, slope_slack=0, fresh=2,
     while True:
         bound = d.deg_plus() + k + slope_slack
         all_ok = all(
-            _restricted_feasible(cx, d, _site_div(cx, combo), spaces, bound)
+            _restricted_feasible(cx, d, site_divisor(cx, combo), spaces, bound)
             for combo in itertools.combinations_with_replacement(sites, k)
         )
         if not all_ok:
@@ -466,19 +453,6 @@ def restricted_rank(cx, d: ComplexDivisor, spaces, slope_slack=0, fresh=2,
                 "restricted rank exceeded its dimension cap; test pool too weak"
             )
         k += 1
-
-
-def _site_div(cx, combo):
-    graph = []
-    curves = {}
-    for s in combo:
-        if s.kind == "g":
-            graph.append((cx.model.vertex_point(s.vertex), 1))
-        else:
-            o = cx.oracles[s.vertex]
-            cur = curves.get(s.vertex, o.zero_divisor())
-            curves[s.vertex] = cur + o.divisor((s.point, 1))
-    return cx.divisor(graph_pairs=graph, curve_parts=curves)
 
 
 def restricted_eta(cx, d, x, spaces, k, **kw) -> int:

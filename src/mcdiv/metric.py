@@ -338,14 +338,6 @@ class PLFunction:
         return f"PL({vals})"
 
 
-def first_betti(model: GraphModel) -> int:
-    return model.first_betti()
-
-
-def div_pl(f: PLFunction) -> GraphDivisor:
-    return f.divisor()
-
-
 @dataclass(frozen=True)
 class AcyclicOrientation:
     """Direction per edge of a loopless model, with no directed cycle."""

@@ -8,11 +8,10 @@ regularizations, and Weierstrass points.
 from __future__ import annotations
 
 import itertools
-import os
 from dataclasses import dataclass
 
 from .complexes import ComplexDivisor, MetrizedComplex
-from .curves import AuditReport, CurveDivisor
+from .curves import AuditReport
 from .errors import FieldTooSmallError, InputError, McdivError
 from .metric import AcyclicOrientation, GraphPoint, enumerate_acyclic_orientations
 from .reduction import reduce_divisor
@@ -103,10 +102,7 @@ def nonneg_rank(cx, d: ComplexDivisor, v0=None) -> bool:
         return True
     if v0 is None:
         v0 = default_base_point(cx)
-    cache = getattr(cx, "_nonneg_cache", None)
-    if cache is None:
-        cache = {}
-        cx._nonneg_cache = cache
+    cache = cx.nonneg_memo
     key = (d.key(), repr(v0))
     if key in cache:
         return cache[key]
@@ -119,37 +115,19 @@ def nonneg_rank(cx, d: ComplexDivisor, v0=None) -> bool:
     return ok
 
 
-def _thread_count():
-    try:
-        return max(1, int(os.environ.get("MCDIV_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
 def _all_tests_pass(cx, d, sites, k) -> bool:
     """Whether d minus every degree-k test divisor keeps non-negative rank."""
-    combos = itertools.combinations_with_replacement(sites, k)
-    threads = _thread_count()
-    if threads == 1:
-        return all(nonneg_rank(cx, d - site_divisor(cx, e)) for e in combos)
-    from concurrent.futures import ThreadPoolExecutor
-
-    combos = list(combos)
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        results = pool.map(
-            lambda e: nonneg_rank(cx, d - site_divisor(cx, e)), combos
-        )
-        return all(results)
-
-
-_shortcut_ok = "_mcdiv_shortcut_validated"
+    return all(
+        nonneg_rank(cx, d - site_divisor(cx, e))
+        for e in itertools.combinations_with_replacement(sites, k)
+    )
 
 
 def _validate_shortcut(cx, sites):
     """One-time sanity pass per complex before trusting the high-degree
     rank formula: the canonical divisor must come out at genus - 1 by
     plain enumeration, and the zero divisor at 0."""
-    if getattr(cx, _shortcut_ok, False):
+    if cx.shortcut_validated:
         return
     g = cx.genus()
     k = cx.canonical()
@@ -157,7 +135,7 @@ def _validate_shortcut(cx, sites):
         raise McdivError("high-degree shortcut rejected: canonical rank check failed")
     if _rank_enumerated(cx, cx.zero_divisor(), sites) != 0:
         raise McdivError("high-degree shortcut rejected: zero divisor check failed")
-    setattr(cx, _shortcut_ok, True)
+    cx.shortcut_validated = True
 
 
 def _rank_enumerated(cx, d, sites) -> int:
@@ -311,7 +289,7 @@ def nonspecial_pools(cx, extra=1):
         count = o.genus + 1 + extra
         try:
             pools[v] = o.sample_points(count)
-        except Exception:
+        except FieldTooSmallError:
             pools[v] = o.sample_points(1)
     return pools
 
@@ -353,19 +331,6 @@ def rank_bound_from_nonspecial(cx, d: ComplexDivisor, sample) -> int:
 # -- combinatorial rank on regularizations ------------------------------------
 
 
-def _vertex_twist(cx, f_values, v) -> CurveDivisor:
-    """div_v of an integer vertex potential: slope differences placed on
-    the marked points."""
-    o = cx.oracles[v]
-    out = o.zero_divisor()
-    for e, end in cx.model.incident_edges(v):
-        other = e.v if end == 0 else e.u
-        s = f_values[other] - f_values[v]
-        if s:
-            out = out + o.divisor((cx.marked_point(v, e.name, end), s))
-    return out
-
-
 def combinatorial_rank(cx, d: ComplexDivisor, slope_slack=0, validate_bound=True) -> int:
     """Rank computed with test chips on vertices and twists by integer
     vertex potentials; defined on unit-edge-length complexes whose
@@ -392,7 +357,7 @@ def combinatorial_rank(cx, d: ComplexDivisor, slope_slack=0, validate_bound=True
             ok = True
             for v in vs:
                 o = cx.oracles[v]
-                dv = d.curve_part(v) + _vertex_twist(cx, f, v)
+                dv = d.curve_part(v) + cx.vertex_twist(v, f)
                 if o.curve_rank(dv) < e_map.get(v, 0):
                     ok = False
                     break

@@ -1,8 +1,14 @@
 """The command-line front end: parsing, reports, exit codes, round trips."""
 
+import contextlib
+import io
 import json
+import re
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mcdiv.cli import main
 from mcdiv.errors import InputError
@@ -228,3 +234,81 @@ class TestCommands:
         main(["rank", theta_file, "--divisor", "K"])
         threaded = capsys.readouterr().out
         assert base == threaded
+
+
+THETA_JSON = Path(__file__).resolve().parents[1] / "scripts" / "theta.json"
+
+# mutations of scripts/theta.json that used to end in a traceback, with the
+# document path the error message must start with
+MALFORMED = {
+    "seed-not-int": (lambda d: d.update(seed="abc"), "seed"),
+    "one-edge-end": (lambda d: d["complex"]["edges"][0].update(ends=["u"]), "complex.edges[0].ends"),
+    "vertices-not-list": (lambda d: d["complex"].update(vertices=5), "complex"),
+    "graph-coeff-not-int": (lambda d: d["divisors"]["D1"]["graph"][0].__setitem__(1, "x"),
+                            "divisors.D1.graph[0]"),
+    "weighted-coeff-not-int": (
+        lambda d: d["weighted_graphs"]["W"]["divisors"]["D"][0].__setitem__(1, "x"),
+        "weighted_graphs.W.divisors.D[0]"),
+    "divisor-as-list": (lambda d: d["divisors"].update(D1=[[{"vertex": "u"}, 1]]), "divisors.D1"),
+    "elliptic-p-not-int": (
+        lambda d: d["complex"]["vertices"][0].update(
+            oracle={"type": "elliptic", "p": "x", "a": 1, "b": 1}),
+        "complex.vertices[0].oracle"),
+    "field-not-prime": (lambda d: d["complex"]["vertices"][0]["oracle"].update(field=4),
+                        "complex.vertices[0].oracle.field"),
+}
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 40) | st.floats()
+    | st.text("ab01:/-", max_size=4),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text("abxy", max_size=2), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+def _node_paths(obj, path=()):
+    """The key paths of every value below obj."""
+    items = obj.items() if isinstance(obj, dict) else enumerate(obj) if isinstance(obj, list) else ()
+    for k, v in items:
+        yield path + (k,)
+        yield from _node_paths(v, path + (k,))
+
+
+def _run_canonical(doc, where):
+    f = where / "mutated.json"
+    f.write_text(json.dumps(doc))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["canonical", str(f)])
+    return code, err.getvalue()
+
+
+class TestMalformedDocuments:
+    @pytest.mark.parametrize("case", sorted(MALFORMED))
+    def test_known_mutations_exit_2_with_path(self, case, tmp_path):
+        mutate, where = MALFORMED[case]
+        doc = json.loads(THETA_JSON.read_text())
+        mutate(doc)
+        code, err = _run_canonical(doc, tmp_path)
+        assert code == 2
+        assert err.startswith(f"input error: {where}: ")
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_mutated_theta_never_raises(self, tmp_path_factory, data):
+        doc = json.loads(THETA_JSON.read_text())
+        path = data.draw(st.sampled_from(sorted(_node_paths(doc), key=repr)))
+        parent = doc
+        for k in path[:-1]:
+            parent = parent[k]
+        if data.draw(st.booleans()):
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = data.draw(JSON_VALUES)
+        code, err = _run_canonical(doc, tmp_path_factory.getbasetemp())
+        # a mutation may leave a valid document; otherwise the error names
+        # where in the document it lies
+        assert code in (0, 2), err
+        if code == 2:
+            assert re.match(r"input error: (document|format|seed|complex|divisors|weighted_graphs)\S*: ", err), err

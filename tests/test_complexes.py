@@ -252,3 +252,11 @@ class TestTrivialComplex:
         lifted = cx.lift_graph_divisor(d)
         assert lifted.degree() == 3
         assert lifted.curve_part("u").degree() == 2
+
+    def test_lift_point_is_stable_and_stores_nothing(self):
+        cx = star_elliptic_complex()
+        before = dict(cx.lift_points)
+        first = cx.lift_point("c")
+        assert cx.lift_point("c") == first
+        assert first not in cx.marks["c"].values()
+        assert cx.lift_points == before

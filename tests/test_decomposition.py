@@ -115,6 +115,13 @@ class TestGlue:
         with pytest.raises(InputError):
             glue(cx1, ("c", taken), cx2, ("s", QQ.elem(0)))
 
+    def test_lift_rejects_foreign_oracle(self):
+        g = glue(self.p1_cx(), ("s", QQ.elem(1)), self.p1_cx(), ("s", QQ.elem(2)))
+        other = self.p1_cx()  # same shape, but an oracle of its own
+        d = other.divisor(curve_parts={"s": other.oracles["s"].divisor((QQ.elem(0), 1))})
+        with pytest.raises(InputError):
+            g.lift(1, d)
+
     def test_divisor_roundtrip(self, rng):
         cx1 = star_elliptic_complex()
         cx2 = self.p1_cx()

@@ -4,7 +4,7 @@ vanishing orders, and kernels."""
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from mcdiv.errors import InputError
@@ -95,6 +95,24 @@ class TestPoly:
     def test_derivative(self):
         p = Poly.make(QQ, [5, 3, 0, 2])
         assert p.derivative() == Poly.make(QQ, [3, 0, 6])
+
+    @settings(max_examples=80)
+    @given(st.sampled_from([0, 5, 7]), fractions,
+           st.lists(st.integers(-6, 6), min_size=1, max_size=4), st.integers(0, 4))
+    def test_mult_at_counts_linear_factors(self, p, a, q_coeffs, m):
+        # p = q * (t - a)^m with q(a) != 0, over Q (p = 0) and over F_p
+        field = QQ if p == 0 else PrimeField(p)
+        a = field.elem(a) if p == 0 else field.elem(a.numerator)
+        q = Poly.make(field, q_coeffs)
+        assume(not q.is_zero() and q(a))
+        poly = q
+        for _ in range(m):
+            poly = poly * Poly.make(field, [-a, 1])
+        assert poly.mult_at(a) == m
+
+    def test_mult_at_zero_polynomial_rejected(self):
+        with pytest.raises(InputError):
+            Poly.make(QQ, []).mult_at(Fraction(0))
 
 
 class TestOrdAt:

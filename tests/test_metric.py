@@ -12,9 +12,7 @@ from mcdiv.metric import (
     GraphDivisor,
     GraphModel,
     PLFunction,
-    div_pl,
     enumerate_acyclic_orientations,
-    first_betti,
 )
 
 from conftest import circle_model, segment_model, theta_model
@@ -26,15 +24,15 @@ class TestModels:
             ["a", "b", "c", "d"],
             [("e1", "a", "b", 1), ("e2", "b", "c", 1), ("e3", "b", "d", 1)],
         )
-        assert first_betti(g) == 0
+        assert g.first_betti() == 0
 
     def test_theta_betti(self):
-        assert first_betti(theta_model()) == 2
+        assert theta_model().first_betti() == 2
 
     def test_two_loops_betti(self):
         g = GraphModel(["a"], [("l1", "a", "a", 1), ("l2", "a", "a", 1)])
         assert len(g.vertices) == 3 and len(g.edges) == 4
-        assert first_betti(g) == 2
+        assert g.first_betti() == 2
 
     def test_disconnected_rejected(self):
         with pytest.raises(InputError):
@@ -89,13 +87,13 @@ class TestRefine:
 class TestPLFunctions:
     def test_constant_divisor_empty(self):
         f = PLFunction.constant(theta_model())
-        assert div_pl(f) == GraphDivisor()
+        assert f.divisor() == GraphDivisor()
 
     def test_single_slope(self):
         g = segment_model()
         ref = g.refinement()
         f = PLFunction(ref, {g.vertex_point("v0"): Fraction(0), g.vertex_point("w"): Fraction(-1)})
-        d = div_pl(f)
+        d = f.divisor()
         assert d.get(g.vertex_point("v0")) == -1
         assert d.get(g.vertex_point("w")) == 1
         assert d.degree() == 0
@@ -108,7 +106,7 @@ class TestPLFunctions:
             ref,
             {g.vertex_point("v0"): Fraction(0), g.vertex_point("w"): Fraction(0), mid: Fraction(-1, 2)},
         )
-        d = div_pl(f)
+        d = f.divisor()
         assert d.get(mid) == 2
         assert d.get(g.vertex_point("v0")) == -1
         assert d.get(g.vertex_point("w")) == -1
@@ -132,8 +130,8 @@ class TestPLFunctions:
             vals[apex] = -e.length / 2 * (k + 1)
             fs.append(PLFunction(ref, vals))
         total = fs[0] + fs[1]
-        assert div_pl(total) == div_pl(fs[0]) + div_pl(fs[1])
-        assert div_pl(total).degree() == 0
+        assert total.divisor() == fs[0].divisor() + fs[1].divisor()
+        assert total.divisor().degree() == 0
 
 
 class TestOrientations:

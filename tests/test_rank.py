@@ -8,9 +8,11 @@ import pytest
 from mcdiv.complexes import as_trivial_complex, graphical_complex
 from mcdiv.complexes import NodalCurveDescription, regularize
 from mcdiv.curves import EllipticOracle, O_POINT, P1Oracle
+from mcdiv.decomposition import WeightedGraph, graph_rank, weighted_rank
 from mcdiv.errors import InputError
-from mcdiv.exact import INF, PrimeField, QQ
-from mcdiv.metric import GraphModel, enumerate_acyclic_orientations
+from mcdiv.exact import INF, Poly, PrimeField, QQ, RationalFunc
+from mcdiv.limitseries import FunctionSpace
+from mcdiv.metric import GraphDivisor, GraphModel, enumerate_acyclic_orientations
 from mcdiv.rank import (
     Moderator,
     clifford_audit,
@@ -355,3 +357,38 @@ class TestWeierstrass:
             star_elliptic_complex(),
         ):
             assert find_weierstrass(cx) is not None
+
+
+class TestNoHiddenState:
+    """Operations add no attribute to the objects they are given; the memo
+    tables they fill are declared by the constructors."""
+
+    def test_rank_and_nonneg_rank_keep_complex_attributes(self):
+        cx = as_trivial_complex(theta_model())
+        before = set(vars(cx))
+        k = cx.canonical()
+        chip = point_divisor(cx, cx.model.point_on("e1", Fraction(1, 2)))
+        assert rank(cx, k) == 1
+        assert rank(cx, k + k) == 2  # above 2g - 2: the validated shortcut
+        assert nonneg_rank(cx, k - chip)
+        assert cx.nonneg_memo and cx.shortcut_validated
+        assert set(vars(cx)) == before
+
+    def test_subspace_meets_keeps_space_attributes(self):
+        o = P1Oracle(QQ)
+        t = Poly.x(QQ)
+        space = FunctionSpace(o, [RationalFunc.make(Poly.const(QQ, 1), Poly.const(QQ, 1)),
+                                  RationalFunc.make(t, Poly.const(QQ, 1))])
+        before = set(vars(space))
+        assert space.subspace_meets(o.divisor((INF, 1)))
+        assert not space.subspace_meets(o.divisor((INF, -1)))
+        assert len(space.meets_memo) == 2
+        assert set(vars(space)) == before
+
+    def test_weighted_rank_keeps_model_attributes(self):
+        model = GraphModel(["a", "b"], [("e", "a", "b", 1)])
+        wg = WeightedGraph(model, {"a": 1})
+        before = set(vars(model))
+        d = GraphDivisor.of((model.vertex_point("a"), 2))
+        assert weighted_rank(wg, d) == graph_rank(model, d) - 1
+        assert set(vars(model)) == before
