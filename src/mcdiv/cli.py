@@ -47,7 +47,11 @@ def _parse_point(cx, spec):
             raise InputError(f"{vname} carries no curve")
         from .io import parse_curve_point
 
-        return (vname, parse_curve_point(cx.oracles[vname], json.loads(raw), "--point"))
+        try:
+            obj = json.loads(raw)
+        except json.JSONDecodeError as err:
+            raise InputError(f"--point: not valid JSON after '@': {err}") from None
+        return (vname, parse_curve_point(cx.oracles[vname], obj, "--point"))
     return _parse_base(cx, spec)
 
 
@@ -174,7 +178,7 @@ def cmd_glue_rank(doc, args):
     from .io import parse_curve_point, parse_graph_point
 
     def attach(cx, spec, path):
-        if "point" in spec:
+        if isinstance(spec, dict) and "point" in spec:
             v = spec.get("vertex")
             if not cx.is_oracle_vertex(v):
                 raise InputError(f"{path}: {v} carries no curve")

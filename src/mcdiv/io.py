@@ -322,6 +322,8 @@ def parse_document(text: str) -> Document:
     if "complex2" in raw:
         doc.complex2 = _parse_complex(raw["complex2"], "complex2")
     if "glue" in raw:
+        if not isinstance(raw["glue"], dict):
+            _fail("glue", "glue wants an object with 'x1', 'x2' and 'length'")
         doc.glue_spec = raw["glue"]
     for name, obj in _section(raw, "divisors"):
         doc.divisors[name] = _parse_divisor(cx, obj, f"divisors.{name}")

@@ -24,6 +24,11 @@ class GraphPoint:
     where: str  # vertex name or edge name
     offset: Fraction = Fraction(0)
 
+    def __hash__(self):
+        # Fraction.__hash__ takes a modular inverse; the numerator and
+        # denominator in lowest terms name the offset just as well
+        return hash((self.kind, self.where, self.offset.numerator, self.offset.denominator))
+
     def __repr__(self):
         if self.kind == "v":
             return f"@{self.where}"
@@ -72,6 +77,7 @@ class GraphModel:
                 self.edges[f"{name}~b"] = Edge(f"{name}~b", mid, u, half)
             else:
                 self.edges[name] = Edge(name, u, v, length)
+        self.vertex_set = vset
         self._check_connected()
 
     def _check_connected(self):
@@ -92,7 +98,7 @@ class GraphModel:
     # -- point factories -------------------------------------------------
 
     def vertex_point(self, name) -> GraphPoint:
-        if name not in set(self.vertices):
+        if name not in self.vertex_set:
             raise InputError(f"unknown vertex {name}")
         return GraphPoint("v", name)
 
@@ -171,22 +177,25 @@ class Refinement:
 
     def __init__(self, model: GraphModel, extra_points=()):
         self.model = model
-        cuts = {name: set() for name in model.edges}
-        for p in extra_points:
-            if p.kind == "e":
-                cuts[p.where].add(p.offset)
-        self.nodes = [model.vertex_point(v) for v in model.vertices]
+        inner = {name: [] for name in model.edges}
+        for p in set(extra_points):
+            if p.kind != "e":
+                continue
+            e = model.edges.get(p.where)
+            if e is None:
+                raise InputError(f"unknown edge {p.where}")
+            if not 0 < p.offset < e.length:
+                raise InputError(f"offset {p.offset} not inside edge {p.where}")
+            inner[p.where].append(p)
+        self.nodes = [GraphPoint("v", v) for v in model.vertices]
         self.redges = []
         for name, e in sorted(model.edges.items()):
-            offs = [Fraction(0)] + sorted(cuts[name]) + [e.length]
-            for lo, hi in zip(offs, offs[1:]):
-                a = model.point_on(name, lo)
-                b = model.point_on(name, hi)
-                if a.kind == "e" and a not in self.nodes:
-                    self.nodes.append(a)
-                if b.kind == "e" and b not in self.nodes:
-                    self.nodes.append(b)
-                self.redges.append(REdge(name, lo, hi, (a, b)))
+            pts = sorted(inner[name], key=lambda p: p.offset)
+            self.nodes += pts
+            ends = [GraphPoint("v", e.u), *pts, GraphPoint("v", e.v)]
+            offs = [Fraction(0), *(p.offset for p in pts), e.length]
+            for k in range(len(ends) - 1):
+                self.redges.append(REdge(name, offs[k], offs[k + 1], (ends[k], ends[k + 1])))
         self.adj = {n: [] for n in self.nodes}
         for i, re in enumerate(self.redges):
             self.adj[re.ends[0]].append((i, 0))

@@ -19,7 +19,7 @@ from fractions import Fraction
 from .complexes import ComplexDivisor, ComplexRationalFunction, MetrizedComplex
 from .curves import P1Oracle
 from .errors import BudgetError, InputError, McdivError
-from .metric import GraphPoint, PLFunction, Refinement
+from .metric import GraphDivisor, GraphPoint, PLFunction, Refinement
 
 DEFAULT_EVENT_CAP = 10**6
 
@@ -47,12 +47,16 @@ class Cut:
                 out.append((i, 1))
         return out
 
-    def boundary(self):
-        deg = {}
+    def fronts(self):
+        """Boundary node -> the outgoing refined segments it holds."""
+        out = {}
         for i, end in self.outgoing():
-            x = self.refinement.redges[i].ends[end]
-            deg[x] = deg.get(x, 0) + 1
-        return deg
+            re = self.refinement.redges[i]
+            out.setdefault(re.ends[end], []).append(re)
+        return out
+
+    def boundary(self):
+        return {x: len(segs) for x, segs in self.fronts().items()}
 
 
 @dataclass
@@ -72,6 +76,29 @@ def _marked_point_of_redge(cx, v, redge):
     raise InputError("segment does not meet the vertex at a base-edge end")
 
 
+def _blocking(cx, d, x, segs):
+    """How the node x meets fire along the refined segments segs.
+
+    At an oracle vertex: ("curve", remainder, its rank), the remainder being
+    the curve part minus the marked points the segments meet.  Elsewhere:
+    ("graph", coefficient, number of segments).  x withstands the fire
+    exactly when _withstands holds of this.
+    """
+    if x.kind == "v" and cx.is_oracle_vertex(x.where):
+        v = x.where
+        o = cx.oracles[v]
+        rem = d.curve_part(v)
+        for re in segs:
+            rem = rem - o.divisor((_marked_point_of_redge(cx, v, re), 1))
+        return ("curve", rem, o.curve_rank(rem))
+    return ("graph", d.graph.get(x), len(segs))
+
+
+def _withstands(blocking):
+    kind, have, n = blocking
+    return n >= 0 if kind == "curve" else n <= have
+
+
 def _check_normalized(cx, d, v0):
     for p, c in d.graph.coeffs.items():
         if c < 0 and p != v0:
@@ -87,7 +114,9 @@ def burn(cx: MetrizedComplex, d: ComplexDivisor, v0: GraphPoint) -> BurnResult:
     """Run the burning pass from v0 on a normalized divisor.
 
     Returns all-burnt (the divisor is v0-reduced) or the surviving region,
-    which is the maximal saturated cut avoiding v0.
+    which is the maximal saturated cut avoiding v0.  A node is re-examined
+    only when fire reaches it along one more segment (Dhar's worklist), so
+    the pass touches each segment once.
     """
     _check_normalized(cx, d, v0)
     extra = [p for p in d.graph.support() if p.kind == "e"]
@@ -97,32 +126,20 @@ def burn(cx: MetrizedComplex, d: ComplexDivisor, v0: GraphPoint) -> BurnResult:
     if v0 not in ref.adj:
         raise InputError(f"{v0} is not a point of the graph")
     burnt = {v0}
-    changed = True
-    while changed:
-        changed = False
-        for x in ref.nodes:
-            if x in burnt:
+    reached = {}  # unburnt node -> segments the fire reached it along
+    todo = [v0]
+    while todo:
+        x = todo.pop()
+        for i, end in ref.adj[x]:
+            re = ref.redges[i]
+            y = re.ends[1 - end]
+            if y in burnt:
                 continue
-            incoming = [
-                (i, end)
-                for i, end in ref.adj[x]
-                if ref.redges[i].ends[1 - end] in burnt
-            ]
-            n = len(incoming)
-            if x.kind == "v" and cx.is_oracle_vertex(x.where):
-                v = x.where
-                o = cx.oracles[v]
-                removed = d.curve_part(v)
-                for i, _end in incoming:
-                    mp = _marked_point_of_redge(cx, v, ref.redges[i])
-                    removed = removed - o.divisor((mp, 1))
-                if o.curve_rank(removed) < 0:
-                    burnt.add(x)
-                    changed = True
-            else:
-                if n > d.graph.get(x):
-                    burnt.add(x)
-                    changed = True
+            segs = reached.setdefault(y, [])
+            segs.append(re)
+            if not _withstands(_blocking(cx, d, y, segs)):
+                burnt.add(y)
+                todo.append(y)
     if len(burnt) == len(ref.nodes):
         return BurnResult(True)
     nodes = {x for x in ref.nodes if x not in burnt}
@@ -132,124 +149,86 @@ def burn(cx: MetrizedComplex, d: ComplexDivisor, v0: GraphPoint) -> BurnResult:
         if re.ends[0] in nodes and re.ends[1] in nodes
     }
     cut = Cut(ref, nodes, redges)
-    evidence = {}
-    for x, outdeg in cut.boundary().items():
-        if x.kind == "v" and cx.is_oracle_vertex(x.where):
-            v = x.where
-            o = cx.oracles[v]
-            rem = d.curve_part(v)
-            for i, end in cut.outgoing():
-                if cut.refinement.redges[i].ends[end] == x:
-                    rem = rem - o.divisor(
-                        (_marked_point_of_redge(cx, v, cut.refinement.redges[i]), 1)
-                    )
-            evidence[x] = ("curve", rem, o.curve_rank(rem))
-        else:
-            evidence[x] = ("graph", d.graph.get(x), outdeg)
+    evidence = {x: _blocking(cx, d, x, segs) for x, segs in cut.fronts().items()}
     return BurnResult(False, cut, evidence)
 
 
 def check_saturated(cx, d, cut: Cut) -> bool:
     """Every boundary point absorbs its outgoing firing."""
-    for x, outdeg in cut.boundary().items():
-        if x.kind == "v" and cx.is_oracle_vertex(x.where):
-            v = x.where
-            o = cx.oracles[v]
-            rem = d.curve_part(v)
-            for i, end in cut.outgoing():
-                if cut.refinement.redges[i].ends[end] == x:
-                    rem = rem - o.divisor(
-                        (_marked_point_of_redge(cx, v, cut.refinement.redges[i]), 1)
-                    )
-            if o.curve_rank(rem) < 0:
-                return False
-        else:
-            if outdeg > d.graph.get(x):
-                return False
-    return True
+    return all(_withstands(_blocking(cx, d, x, segs)) for x, segs in cut.fronts().items())
 
 
-def fire_cut(cx, d: ComplexDivisor, cut: Cut, debt_mode=False):
+def _add_chips(cx, graph, curves, x, re, c):
+    """Add c chips at the node x of the refined segment re: on the marked
+    point re meets at an oracle vertex, on the graph elsewhere."""
+    if x.kind == "v" and cx.is_oracle_vertex(x.where):
+        o = cx.oracles[x.where]
+        mp = _marked_point_of_redge(cx, x.where, re)
+        curves[x.where] = curves.get(x.where, o.zero_divisor()) + o.divisor((mp, c))
+    else:
+        graph[x] = graph.get(x, 0) + c
+
+
+def fire_cut(cx, d: ComplexDivisor, cut: Cut, debt_mode=False, want_witness=True):
     """Fire the region: one unit of slope on every outgoing segment, with
-    the largest event-driven step.
+    the largest event-driven step eps.
 
-    Returns (new divisor, step, witness increment).  Boundary oracle
-    vertices are renormalized to an effective representative when their
-    remaining part has non-negative rank.
+    Each outgoing segment moves one chip from its boundary node to the
+    point at distance eps along it; at an oracle vertex the chip leaves or
+    lands on the marked point the segment meets.  Boundary oracle vertices
+    are then renormalized to an effective representative when their part
+    has non-negative rank.
+
+    Returns (new divisor, step, witness increment).  The increment, a
+    rational function whose divisor is the move, is built only with
+    want_witness; otherwise it is None.
     """
     if not debt_mode and not check_saturated(cx, d, cut):
         raise McdivError("internal error: firing an unsaturated cut")
     fronts = cut.outgoing()
     if not fronts:
         raise McdivError("internal error: cut has no outgoing segment")
+    redges = cut.refinement.redges
     per_redge = {}
-    for i, end in fronts:
-        per_redge.setdefault(i, []).append(end)
-    eps = None
-    for i, ends in per_redge.items():
-        length = cut.refinement.redges[i].length
-        step = length if len(ends) == 1 else length / 2
-        eps = step if eps is None else min(eps, step)
-    # landing points of fronts that stop in a segment's interior
+    for i, _end in fronts:
+        per_redge[i] = per_redge.get(i, 0) + 1
+    # a segment fired from both ends meets itself halfway
+    eps = min(redges[i].length / n for i, n in per_redge.items())
+    graph = dict(d.graph.coeffs)
+    curves = dict(d.curves)
     landings = []
-    for i, ends in per_redge.items():
-        re = cut.refinement.redges[i]
-        for end in ends:
-            if end == 0:
-                off = re.lo + eps
-            else:
-                off = re.hi - eps
-            p = cx.model.point_on(re.base, off)
-            if p.kind == "e":
-                landings.append(p)
-    ref2 = cut.refinement.with_points(landings)
-    vals = {}
-    front_span = {}
-    for i, ends in per_redge.items():
-        re = cut.refinement.redges[i]
-        for end in ends:
-            if end == 0:
-                lo, hi = re.lo, re.lo + eps
-            else:
-                lo, hi = re.hi - eps, re.hi
-            front_span.setdefault(re.base, []).append((lo, hi, end))
-    for n in ref2.nodes:
-        if n in cut.nodes:
-            vals[n] = Fraction(0)
-            continue
-        val = -eps
-        if n.kind == "e":
-            for lo, hi, end in front_span.get(n.where, []):
-                if lo <= n.offset <= hi:
-                    dist = (n.offset - lo) if end == 0 else (hi - n.offset)
-                    val = -dist
-                    break
-        vals[n] = val
-    f = PLFunction(ref2, vals)
-    increment = ComplexRationalFunction(cx, f, {})
-    d_new = d + increment.divisor()
+    for i, end in fronts:
+        re = redges[i]
+        land = cx.model.point_on(re.base, re.lo + eps if end == 0 else re.hi - eps)
+        _add_chips(cx, graph, curves, re.ends[end], re, -1)
+        _add_chips(cx, graph, curves, land, re, 1)
+        landings.append(land)
     # renormalize boundary oracle vertices inside their curve-divisor class
-    witnesses = {}
+    shifts = {}
     for x in cut.boundary():
         if not (x.kind == "v" and cx.is_oracle_vertex(x.where)):
             continue
         v = x.where
         o = cx.oracles[v]
-        part = d_new.curve_part(v)
+        part = curves.get(v, o.zero_divisor())
         if o.curve_rank(part) < 0:
             continue
         rep = o.effective_representative(part)
         shift = rep - part
         if shift.coeffs:
-            witnesses[v] = shift
-            curves = dict(d_new.curves)
-            if rep.coeffs:
-                curves[v] = rep
-            else:
-                curves.pop(v, None)
-            d_new = ComplexDivisor(cx, d_new.graph, curves)
-    increment = ComplexRationalFunction(cx, f, witnesses)
-    return d_new, eps, increment
+            # with a witness, ComplexRationalFunction validates the shift
+            if not want_witness and not o.classes_equal(rep, part):
+                raise McdivError("internal error: renormalization left the class")
+            shifts[v] = shift
+            curves[v] = rep
+    d_new = ComplexDivisor(cx, GraphDivisor(graph), curves)
+    if not want_witness:
+        return d_new, eps, None
+    # the move is div f for f = 0 on the region, falling with slope 1 along
+    # each outgoing segment to -eps at the landing point, -eps beyond
+    ref = cut.refinement.with_points(landings)
+    f = PLFunction(ref, {n: Fraction(0) if n in cut.nodes else -eps for n in ref.nodes})
+    return d_new, eps, ComplexRationalFunction(cx, f, shifts)
 
 
 class ReductionWitness:
@@ -335,7 +314,7 @@ def clear_debt(cx, d: ComplexDivisor, v0: GraphPoint, cap=DEFAULT_EVENT_CAP,
             if re.ends[0] in nodes and re.ends[1] in nodes
         }
         cut = Cut(ref, nodes, redges)
-        d, _eps, inc = fire_cut(cx, d, cut, debt_mode=True)
+        d, _eps, inc = fire_cut(cx, d, cut, debt_mode=True, want_witness=want_witness)
         if wit is not None:
             wit.absorb(inc)
             if check_each_step and not (start + wit.divisor() == d):
@@ -368,7 +347,7 @@ def reduce_divisor(cx, d: ComplexDivisor, v0: GraphPoint, cap=DEFAULT_EVENT_CAP,
         res = burn(cx, d, v0)
         if res.all_burnt:
             break
-        d, _eps, inc = fire_cut(cx, d, res.cut)
+        d, _eps, inc = fire_cut(cx, d, res.cut, want_witness=want_witness)
         if wit is not None:
             wit.absorb(inc)
             if check_each_step and not (start + wit.divisor() == d):

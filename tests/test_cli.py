@@ -14,6 +14,24 @@ from mcdiv.cli import main
 from mcdiv.errors import InputError
 from mcdiv.io import parse_document, serialize_document
 
+GLUE_DOC = {
+    "format": 1,
+    "complex": {
+        "vertices": [{"name": "s", "oracle": {"type": "p1", "field": "Q"}}],
+        "edges": [],
+    },
+    "complex2": {
+        "vertices": [{"name": "t", "oracle": {"type": "p1", "field": "Q"}}],
+        "edges": [],
+    },
+    "glue": {
+        "x1": {"vertex": "s", "point": {"x": "1"}},
+        "x2": {"vertex": "t", "point": {"x": "2"}},
+        "length": "1",
+    },
+    "divisors": {"D1": {"curves": {"s": [[{"x": "0"}, 2]]}}},
+}
+
 THETA_DOC = {
     "format": 1,
     "seed": 0,
@@ -204,28 +222,21 @@ class TestCommands:
         assert first == second
 
     def test_glue_rank(self, tmp_path, capsys):
-        doc = {
-            "format": 1,
-            "complex": {
-                "vertices": [{"name": "s", "oracle": {"type": "p1", "field": "Q"}}],
-                "edges": [],
-            },
-            "complex2": {
-                "vertices": [{"name": "t", "oracle": {"type": "p1", "field": "Q"}}],
-                "edges": [],
-            },
-            "glue": {
-                "x1": {"vertex": "s", "point": {"x": "1"}},
-                "x2": {"vertex": "t", "point": {"x": "2"}},
-                "length": "1",
-            },
-            "divisors": {"D1": {"curves": {"s": [[{"x": "0"}, 2]]}}},
-        }
         f = tmp_path / "glue.json"
-        f.write_text(json.dumps(doc))
+        f.write_text(json.dumps(GLUE_DOC))
         assert main(["glue-rank", str(f), "--divisor", "D1", "--audit"]) == 0
         out = capsys.readouterr().out
         assert "formula-rank: 2" in out and "agreement: ok" in out
+
+    @pytest.mark.parametrize("glue, where", [
+        ([], "glue"),
+        ({"x1": 5, "x2": GLUE_DOC["glue"]["x2"]}, "glue.x1"),
+    ])
+    def test_glue_not_an_object_exits_2(self, tmp_path, capsys, glue, where):
+        f = tmp_path / "glue.json"
+        f.write_text(json.dumps(dict(GLUE_DOC, glue=glue)))
+        assert main(["glue-rank", str(f), "--divisor", "D1"]) == 2
+        assert capsys.readouterr().err.startswith(f"input error: {where}: ")
 
     def test_threads_env_same_result(self, theta_file, capsys, monkeypatch):
         main(["rank", theta_file, "--divisor", "K"])
@@ -256,6 +267,7 @@ MALFORMED = {
         "complex.vertices[0].oracle"),
     "field-not-prime": (lambda d: d["complex"]["vertices"][0]["oracle"].update(field=4),
                         "complex.vertices[0].oracle.field"),
+    "glue-not-object": (lambda d: d.update(glue=[]), "glue"),
 }
 
 JSON_VALUES = st.recursive(
@@ -293,6 +305,11 @@ class TestMalformedDocuments:
         code, err = _run_canonical(doc, tmp_path)
         assert code == 2
         assert err.startswith(f"input error: {where}: ")
+
+    def test_point_json_that_does_not_parse_exits_2(self, capsys):
+        code = main(["eta", str(THETA_JSON), "--divisor", "D1", "--point", "u@{bad", "--k", "1"])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("input error: --point: ")
 
     @settings(max_examples=150, deadline=None)
     @given(data=st.data())

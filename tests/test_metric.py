@@ -11,6 +11,7 @@ from mcdiv.errors import InputError
 from mcdiv.metric import (
     GraphDivisor,
     GraphModel,
+    GraphPoint,
     PLFunction,
     enumerate_acyclic_orientations,
 )
@@ -48,6 +49,17 @@ class TestModels:
         assert g.point_on("e", 1) == g.vertex_point("w")
         assert g.point_on("e", Fraction(1, 2)).kind == "e"
 
+    def test_equal_points_hash_alike(self):
+        g = segment_model(2)
+        pairs = [
+            (g.point_on("e", Fraction(2, 4)), GraphPoint("e", "e", Fraction(1, 2))),
+            (GraphPoint("e", "e", 1), GraphPoint("e", "e", Fraction(1))),
+            (GraphPoint("v", "a"), GraphPoint("v", "a", 0)),
+        ]
+        for p, q in pairs:
+            assert p == q and hash(p) == hash(q)
+            assert len({p, q}) == 1
+
 
 class TestRefine:
     def test_refine_at_vertex_is_identity(self):
@@ -60,6 +72,17 @@ class TestRefine:
         ref = g.refinement([g.point_on("e", Fraction(1, 2))])
         assert len(ref.redges) == 2
         assert all(re.length == Fraction(1, 2) for re in ref.redges)
+
+    @pytest.mark.parametrize("point", [
+        GraphPoint("e", "nope", Fraction(1, 2)),
+        GraphPoint("e", "e", Fraction(0)),
+        GraphPoint("e", "e", Fraction(1)),
+        GraphPoint("e", "e", Fraction(-1, 2)),
+        GraphPoint("e", "e", Fraction(3, 2)),
+    ])
+    def test_refine_rejects_points_off_the_edges(self, point):
+        with pytest.raises(InputError):
+            segment_model().refinement([point])
 
     def test_loop_normalization_is_midpoint_refinement(self):
         g = circle_model(2)

@@ -2,14 +2,20 @@
 
 import itertools
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from mcdiv.complexes import as_trivial_complex, graphical_complex
+from mcdiv import reduction
+from mcdiv.complexes import MetrizedComplex, as_trivial_complex, graphical_complex
 from mcdiv.curves import EllipticOracle, O_POINT, P1Oracle
 from mcdiv.errors import InputError
 from mcdiv.exact import PrimeField
+from mcdiv.io import parse_document
 from mcdiv.metric import GraphModel
+from mcdiv.rank import rank
 from mcdiv.reduction import burn, check_saturated, fire_cut, reduce_divisor
 
 from conftest import (
@@ -90,31 +96,40 @@ class TestBurn:
             burn(cx, cx.divisor(graph_pairs=[(m, -1)]), g.vertex_point("v0"))
 
 
+def _fire(cx, d, cut, want_witness):
+    """fire_cut in either mode: the divisor of the witness increment is the
+    move, and without a witness the move is the same."""
+    d2, eps, inc = fire_cut(cx, d, cut, want_witness=want_witness)
+    if not want_witness:
+        assert inc is None
+        d_w, eps_w, inc = fire_cut(cx, d, cut, want_witness=True)
+        assert (d_w, eps_w) == (d2, eps)
+    assert d + inc.divisor() == d2
+    return d2, eps
+
+
+@pytest.mark.parametrize("want_witness", [True, False])
 class TestFireCut:
-    def test_interior_chip_moves_toward_base(self, segment):
+    def test_interior_chip_moves_toward_base(self, segment, want_witness):
         cx, g = segment
         v0 = g.vertex_point("v0")
         m = g.point_on("e", Fraction(1, 2))
         d = cx.divisor(graph_pairs=[(m, 1)])
         res = burn(cx, d, v0)
-        d2, eps, inc = fire_cut(cx, d, res.cut)
+        d2, eps = _fire(cx, d, res.cut, want_witness)
         assert eps == Fraction(1, 2)
         assert d2.graph.get(v0) == 1
-        assert d + inc.divisor() == d2
 
-    def test_star_vertex_fires_marked_points(self):
+    def test_star_vertex_fires_marked_points(self, want_witness):
         cx = star_elliptic_complex()
-        model = cx.model
-        v0 = model.vertex_point("l1")
-        center = cx.oracles["c"]
+        v0 = cx.model.vertex_point("l1")
         d = cx.divisor(curve_parts={"c": cx.marked_divisor("c")})
         res = burn(cx, d, v0)
         assert not res.all_burnt
-        d2, eps, inc = fire_cut(cx, d, res.cut)
-        assert d + inc.divisor() == d2
+        d2, eps = _fire(cx, d, res.cut, want_witness)
         assert d2.degree() == d.degree()
 
-    def test_theta_cut_fires_both_slopes(self):
+    def test_theta_cut_fires_both_slopes(self, want_witness):
         model = theta_model()
         cx = graphical_complex(model)
         v0 = model.vertex_point("u")
@@ -124,8 +139,7 @@ class TestFireCut:
         res = burn(cx, d, v0)
         assert not res.all_burnt
         assert res.cut.boundary() == {a: 1, b: 1}
-        d2, eps, inc = fire_cut(cx, d, res.cut)
-        assert d + inc.divisor() == d2
+        d2, eps = _fire(cx, d, res.cut, want_witness)
         assert d2.graph.get(a) == 0 and d2.graph.get(b) == 0
 
 
@@ -297,3 +311,108 @@ class TestReducedRankOracle:
         d = cx.divisor(graph_pairs=[(p, 1), (q, -1)])
         red, _ = reduce_divisor(cx, d, v0)
         assert red.graph.get(v0) < 0
+
+
+# -- the fast path against the witness path -----------------------------------
+
+_F5 = PrimeField(5)
+
+
+@st.composite
+def small_complexes(draw):
+    """A loop at A, a double edge A-B and a tail B-C, with lengths 1/2 to 2
+    and each vertex graphical, a projective line or an elliptic curve over F5."""
+    lengths = [draw(st.sampled_from([Fraction(1, 2), 1, Fraction(3, 2), 2])) for _ in range(4)]
+    model = GraphModel(
+        ["A", "B", "C"],
+        [("l", "A", "A", lengths[0]), ("m1", "A", "B", lengths[1]),
+         ("m2", "A", "B", lengths[2]), ("t", "B", "C", lengths[3])],
+    )
+    oracles, marks = {}, {}
+    for v in ("A", "B", "C"):
+        kind = draw(st.sampled_from(["graphical", "p1", "elliptic"]))
+        if kind == "graphical":
+            continue
+        o = P1Oracle(_F5) if kind == "p1" else EllipticOracle(5, 1, 1)
+        ends = model.incident_edges(v)
+        oracles[v] = o
+        marks[v] = {(e.name, end): pt for (e, end), pt in zip(ends, o.sample_points(len(ends)))}
+    cx = MetrizedComplex(model, oracles, marks)
+    sites = [("g", model.vertex_point(w)) for w in cx.graphical_vertices()]
+    for name, e in sorted(model.edges.items()):
+        sites += [("g", model.point_on(name, e.length * k)) for k in (Fraction(1, 3), Fraction(1, 2))]
+    for v in cx.oracle_vertices():
+        sites += [("c", (v, pt)) for pt in cx.oracles[v].sample_points(3)]
+    picks = draw(st.lists(st.tuples(st.sampled_from(sites), st.integers(-2, 3)),
+                          min_size=1, max_size=3))
+    degree = draw(st.integers(-3, 6))
+    picks[-1] = (picks[-1][0], degree - sum(c for _, c in picks[:-1]))
+    graph, curves = [], {}
+    for (kind, where), c in picks:
+        if kind == "g":
+            graph.append((where, c))
+        else:
+            v, pt = where
+            o = cx.oracles[v]
+            curves[v] = curves.get(v, o.zero_divisor()) + o.divisor((pt, c))
+    return cx, cx.divisor(graph_pairs=graph, curve_parts=curves)
+
+
+class TestFastPathAgrees:
+    @settings(max_examples=40, deadline=None)
+    @given(small_complexes())
+    def test_fast_path_equals_witness_path(self, case):
+        cx, d = case
+        original = reduction.fire_cut
+
+        def checked_fire_cut(cx_, d_, cut, *args, want_witness=True, **kwargs):
+            d_new, eps, inc = original(cx_, d_, cut, *args, want_witness=want_witness, **kwargs)
+            if want_witness:
+                assert d_ + inc.divisor() == d_new
+            return d_new, eps, inc
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(reduction, "fire_cut", checked_fire_cut)
+            for w in cx.model.vertices:
+                v0 = cx.model.vertex_point(w)
+                fast, none = reduce_divisor(cx, d, v0, want_witness=False)
+                slow, wit = reduce_divisor(cx, d, v0, want_witness=True, check_each_step=True)
+                assert none is None
+                assert fast == slow
+                assert d + wit.divisor() == slow
+
+
+THETA_JSON = Path(__file__).resolve().parents[1] / "scripts" / "theta.json"
+
+
+class TestEventCounts:
+    """Exact burn and fire_cut call counts on scripts/theta.json; a change to
+    the event sequence of the reduction shows up here."""
+
+    @pytest.fixture
+    def counted(self, monkeypatch):
+        counts = {"burn": 0, "fire_cut": 0}
+        for name in counts:
+            original = getattr(reduction, name)
+
+            def counting(*args, _name=name, _original=original, **kwargs):
+                counts[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(reduction, name, counting)
+        return counts
+
+    @pytest.mark.parametrize("divisor, expected", [
+        ("K", {"burn": 4, "fire_cut": 0}),
+        ("D2", {"burn": 6, "fire_cut": 4}),
+    ])
+    def test_rank(self, counted, divisor, expected):
+        doc = parse_document(THETA_JSON.read_text())
+        rank(doc.complex, doc.divisors[divisor])
+        assert counted == expected
+
+    def test_reduce(self, counted):
+        doc = parse_document(THETA_JSON.read_text())
+        cx = doc.complex
+        reduce_divisor(cx, doc.divisors["D2"], cx.model.vertex_point("u"))
+        assert counted == {"burn": 2, "fire_cut": 1}
