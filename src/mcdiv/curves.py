@@ -564,7 +564,7 @@ class TableOracle(CurveOracle):
             out[lab] = out.get(lab, 0) + 1
         return CurveDivisor(self, out)
 
-    def divisor_in_class(self, deg, cls, allow_negative=True):
+    def divisor_in_class(self, deg, cls):
         """Some divisor (not necessarily effective) in the given class."""
         cls = self._norm(cls)
         labels = sorted(self.points)
@@ -655,11 +655,12 @@ class AuditReport:
         return f"AuditReport({status}, {len(self.checks)} checks)"
 
 
-def riemann_roch_audit(oracle: CurveOracle, sample_size=24, seed=0):
-    """Check the oracle axioms on a deterministic sample of divisors."""
+def riemann_roch_audit(oracle: CurveOracle):
+    """Check the oracle axioms on a deterministic sample of 24 divisors
+    (plus zero and canonical)."""
     import random
 
-    rng = random.Random(seed)
+    rng = random.Random(0)
     rep = AuditReport()
     g = oracle.genus
     k_div = oracle.canonical_divisor()
@@ -669,7 +670,7 @@ def riemann_roch_audit(oracle: CurveOracle, sample_size=24, seed=0):
     except FieldTooSmallError:
         pool = oracle.sample_points(1)
     divisors = [oracle.zero_divisor(), k_div]
-    for _ in range(sample_size):
+    for _ in range(24):
         d = {}
         for _ in range(rng.randint(1, 3)):
             p = pool[rng.randrange(len(pool))]

@@ -51,15 +51,14 @@ def eta(cx, d, x, k, seed=0) -> int:
     return EtaFunction(cx, d, x, seed)(k)
 
 
-def eta_v(oracle: CurveOracle, d_v, marks, k: int, bound=None) -> int:
+def eta_v(oracle: CurveOracle, d_v, marks, k: int) -> int:
     """Smallest n >= 0 such that some divisor supported on the marked
-    points, with coefficients bounded by `bound`, lifts d_v to rank
-    exactly k at degree n."""
+    points, with coefficients bounded by genus + k + |deg d_v| + 2, lifts
+    d_v to rank exactly k at degree n."""
     marks = list(marks)
     g = oracle.genus
     deg = d_v.degree()
-    if bound is None:
-        bound = g + k + abs(deg) + 2
+    bound = g + k + abs(deg) + 2
     limit = k + 3 * g + abs(deg) + bound + 2
     for n in range(max(k, 0), limit + 1):
         target = n - deg
@@ -236,19 +235,12 @@ def graph_rank(model: GraphModel, d: GraphDivisor, seed=0) -> int:
 def wedge_rank(model1, d1, v1, model2, d2, v2, seed=0) -> int:
     """The wedge formula: min over k of k + rank(side 1 twisted down by
     the side-2 threshold at the joint)."""
-    cx2 = graphical_complex(model2)
-    eta2 = EtaFunction(cx2, cx2.lift_graph_divisor(d2), model2.vertex_point(v2), seed)
     cx1 = graphical_complex(model1)
-    base1 = cx1.lift_graph_divisor(d1)
-    vp1 = model1.vertex_point(v1)
-    cap = max(d1.degree() + d2.degree() + cx2.genus() + 1, 0)
-    best = None
-    for k in range(cap + 1):
-        n = eta2(k)
-        term = k + rank(cx1, base1 - point_divisor(cx1, vp1, n), seed=seed)
-        if best is None or term < best:
-            best = term
-    return best
+    cx2 = graphical_complex(model2)
+    return connected_sum_rank(
+        cx1, cx1.lift_graph_divisor(d1), model1.vertex_point(v1),
+        cx2, cx2.lift_graph_divisor(d2), model2.vertex_point(v2), seed=seed,
+    )
 
 
 # -- weighted graphs -----------------------------------------------------------
@@ -270,15 +262,6 @@ class WeightedGraph:
 
     def weight(self, v):
         return self.weights.get(v, 0)
-
-    def weight_divisor(self) -> GraphDivisor:
-        return GraphDivisor(
-            {
-                self.model.vertex_point(v): w
-                for v, w in self.weights.items()
-                if w
-            }
-        )
 
 
 def weighted_rank(wg: WeightedGraph, d: GraphDivisor, seed=0) -> int:
@@ -330,8 +313,7 @@ def sharp_rank(wg: WeightedGraph, d: GraphDivisor, loop_lengths=None, seed=0) ->
 # -- vertex-twist upper bound ---------------------------------------------------
 
 
-def wrank3_bound(cx: MetrizedComplex, d: ComplexDivisor, coeff_cap=2, seed=0,
-                 eta_bound=None) -> int:
+def wrank3_bound(cx: MetrizedComplex, d: ComplexDivisor, coeff_cap=2, seed=0) -> int:
     """Upper bound for the rank: min over effective vertex-supported E of
     deg(E) + graph rank of the gamma part twisted down by the per-vertex
     thresholds."""
@@ -342,7 +324,7 @@ def wrank3_bound(cx: MetrizedComplex, d: ComplexDivisor, coeff_cap=2, seed=0,
         o = cx.oracles[v]
         marks = sorted(cx.marks[v].values(), key=o.point_key)
         etas[v] = {
-            k: eta_v(o, d.curve_part(v), marks, k, bound=eta_bound)
+            k: eta_v(o, d.curve_part(v), marks, k)
             for k in range(coeff_cap + 1)
         }
     gcx = graphical_complex(cx.model)
@@ -368,9 +350,9 @@ def brill_noether_number(g: int, r: int, d: int) -> int:
     return g - (r + 1) * (g - d + r)
 
 
-def bn_grid(cx, max_den=4):
+def bn_grid(cx):
     """Deterministic pool of effective-divisor sites: graphical vertices,
-    curve sample points, and j/q interior points for q <= max_den."""
+    curve sample points, and j/q interior points for q <= 4."""
     pts = []
     for w in cx.graphical_vertices():
         pts.append(cx.model.vertex_point(w))
@@ -384,7 +366,7 @@ def bn_grid(cx, max_den=4):
         pts.extend((v, p) for p in samples)
     for name, e in sorted(cx.model.edges.items()):
         seen = set()
-        for q in range(2, max_den + 1):
+        for q in range(2, 5):
             for j in range(1, q):
                 off = e.length * Fraction(j, q)
                 if off not in seen:

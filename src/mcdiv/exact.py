@@ -493,10 +493,6 @@ class MatrixF:
         return MatrixF(field, [[field.elem(x) for x in r] for r in rows])
 
     @property
-    def nrows(self):
-        return len(self.rows)
-
-    @property
     def ncols(self):
         return len(self.rows[0]) if self.rows else 0
 

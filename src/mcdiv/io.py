@@ -173,13 +173,6 @@ def parse_ratfunc(field_obj, obj, path):
         return RationalFunc.make(num, den)
 
 
-def ratfunc_json(f: RationalFunc):
-    def coeffs(p):
-        return [rational_str(c) if isinstance(c, Fraction) else str(c.v) for c in p.coeffs]
-
-    return {"num": coeffs(f.num), "den": coeffs(f.den)}
-
-
 @dataclass
 class Document:
     """A parsed input file: the complex plus named ancillary objects."""

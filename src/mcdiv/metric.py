@@ -131,9 +131,6 @@ class GraphModel:
     def first_betti(self):
         return len(self.edges) - len(self.vertices) + 1
 
-    def total_length(self):
-        return sum((e.length for e in self.edges.values()), Fraction(0))
-
     # -- refinements ------------------------------------------------------
 
     def refinement(self, extra_points=()):
@@ -200,9 +197,6 @@ class Refinement:
         for i, re in enumerate(self.redges):
             self.adj[re.ends[0]].append((i, 0))
             self.adj[re.ends[1]].append((i, 1))
-
-    def node_degree(self, p):
-        return len(self.adj[p])
 
     def with_points(self, pts):
         """A common refinement including the given extra interior points."""
@@ -338,9 +332,6 @@ class PLFunction:
         ref = Refinement(self.ref.model, pts)
         vals = {n: self.value_at(n) + o.value_at(n) for n in ref.nodes}
         return PLFunction(ref, vals)
-
-    def scale_int(self, k: int):
-        return PLFunction(self.ref, {n: v * k for n, v in self.values.items()})
 
     def __repr__(self):
         vals = ", ".join(f"{n}:{v}" for n, v in sorted(self.values.items(), key=lambda kv: repr(kv[0])))

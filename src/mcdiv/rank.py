@@ -115,12 +115,25 @@ def nonneg_rank(cx, d: ComplexDivisor, v0=None) -> bool:
     return ok
 
 
-def _all_tests_pass(cx, d, sites, k) -> bool:
-    """Whether d minus every degree-k test divisor keeps non-negative rank."""
-    return all(
-        nonneg_rank(cx, d - site_divisor(cx, e))
-        for e in itertools.combinations_with_replacement(sites, k)
-    )
+def _largest_k(tests, passes, top) -> int:
+    """The largest k <= top such that passes(T) holds for every k-multiset
+    T of tests and every smaller size; -1 when k = 0 fails or top < 0.
+    Sizes are tried upward, multisets in combinations_with_replacement
+    order, stopping at the first failure."""
+    for k in range(top + 1):
+        if not all(passes(t) for t in itertools.combinations_with_replacement(tests, k)):
+            return k - 1
+    return max(top, -1)
+
+
+def _potentials(vs, bound):
+    """Integer vertex potentials, 0 at vs[0] and in [-bound, bound]
+    elsewhere, in itertools.product order."""
+    root, others = vs[0], vs[1:]
+    for vals in itertools.product(range(-bound, bound + 1), repeat=len(others)):
+        f = {root: 0}
+        f.update(zip(others, vals))
+        yield f
 
 
 def _validate_shortcut(cx, sites):
@@ -139,15 +152,10 @@ def _validate_shortcut(cx, sites):
 
 
 def _rank_enumerated(cx, d, sites) -> int:
-    deg = d.degree()
-    if deg < 0 or not nonneg_rank(cx, d):
-        return -1
-    k = 1
-    while k <= deg:
-        if not _all_tests_pass(cx, d, sites, k):
-            return k - 1
-        k += 1
-    return deg
+    # k = 0 tests d itself, so no empty test divisor is built
+    return _largest_k(
+        sites, lambda e: nonneg_rank(cx, d - site_divisor(cx, e) if e else d), d.degree()
+    )
 
 
 def rank(cx, d: ComplexDivisor, sites=None, seed=0, audit=False) -> int:
@@ -275,30 +283,23 @@ def moderator(cx, orientation, parts) -> ComplexDivisor:
     return Moderator(cx, orientation, parts).divisor()
 
 
-def dual_moderator(mod: Moderator) -> ComplexDivisor:
-    """The reversed-orientation, canonical-complement partner; the sum of
-    the pair lies in the canonical class."""
-    return mod.dual().divisor()
-
-
-def nonspecial_pools(cx, extra=1):
-    """Per-vertex pools feeding the minimal non-special samples."""
+def nonspecial_pools(cx):
+    """Per-vertex pools feeding the minimal non-special samples: genus + 2
+    sample points, or a single one on curves with too few points."""
     pools = {}
     for v in cx.oracle_vertices():
         o = cx.oracles[v]
-        count = o.genus + 1 + extra
         try:
-            pools[v] = o.sample_points(count)
+            pools[v] = o.sample_points(o.genus + 2)
         except FieldTooSmallError:
             pools[v] = o.sample_points(1)
     return pools
 
 
-def moderator_sample(cx, pools=None, per_vertex_cap=6):
+def moderator_sample(cx, per_vertex_cap=6):
     """Moderators over all acyclic orientations and sampled minimal
     non-special parts: a sample of the complex's minimal non-special set."""
-    if pools is None:
-        pools = nonspecial_pools(cx)
+    pools = nonspecial_pools(cx)
     choices = {}
     for v in cx.oracle_vertices():
         o = cx.oracles[v]
@@ -331,13 +332,14 @@ def rank_bound_from_nonspecial(cx, d: ComplexDivisor, sample) -> int:
 # -- combinatorial rank on regularizations ------------------------------------
 
 
-def combinatorial_rank(cx, d: ComplexDivisor, slope_slack=0, validate_bound=True) -> int:
+def combinatorial_rank(cx, d: ComplexDivisor) -> int:
     """Rank computed with test chips on vertices and twists by integer
     vertex potentials; defined on unit-edge-length complexes whose
     vertices all carry curves.
 
     Independent of the reduction engine: feasibility is checked per
-    vertex with oracle rank queries only.
+    vertex with oracle rank queries only.  Certified: the search is rerun
+    with the potential bound widened by 2 and must give the same rank.
     """
     model = cx.model
     if any(e.length != 1 for e in model.edges.values()):
@@ -347,48 +349,26 @@ def combinatorial_rank(cx, d: ComplexDivisor, slope_slack=0, validate_bound=True
     if d.graph.coeffs:
         raise InputError("divisor must be supported on the vertex curves")
     vs = list(model.vertices)
+    base = d.deg_plus() + sum(cx.oracles[v].genus for v in vs) + 2
 
-    def feasible(e_map, bound):
-        root = vs[0]
-        others = vs[1:]
-        for vals in itertools.product(range(-bound, bound + 1), repeat=len(others)):
-            f = {root: 0}
-            f.update(dict(zip(others, vals)))
-            ok = True
-            for v in vs:
-                o = cx.oracles[v]
-                dv = d.curve_part(v) + cx.vertex_twist(v, f)
-                if o.curve_rank(dv) < e_map.get(v, 0):
-                    ok = False
-                    break
-            if ok:
-                return True
-        return False
+    def feasible(combo, bound):
+        return any(
+            all(
+                cx.oracles[v].curve_rank(d.curve_part(v) + cx.vertex_twist(v, f))
+                >= combo.count(v)
+                for v in vs
+            )
+            for f in _potentials(vs, bound)
+        )
 
-    def rank_with(bound_extra):
-        r = -1
-        deg = d.degree()
-        while r < deg:
-            target = r + 1
-            bound = d.deg_plus() + target + sum(
-                cx.oracles[v].genus for v in vs
-            ) + 2 + bound_extra
-            all_ok = True
-            for combo in itertools.combinations_with_replacement(vs, target):
-                e_map = {}
-                for v in combo:
-                    e_map[v] = e_map.get(v, 0) + 1
-                if not feasible(e_map, bound):
-                    all_ok = False
-                    break
-            if not all_ok:
-                return r
-            r = target
-        return r
+    def rank_with(widen):
+        return _largest_k(vs, lambda combo: feasible(combo, base + len(combo) + widen),
+                          d.degree())
 
-    r = rank_with(slope_slack)
-    if validate_bound and rank_with(slope_slack + 2) != r:
-        raise McdivError("twist bound certificate failed; enlarge slope_slack")
+    r = rank_with(0)
+    if rank_with(2) != r:
+        raise McdivError("twist bound certificate failed: a potential bound wider "
+                         "by 2 gave another rank")
     return r
 
 
@@ -413,9 +393,9 @@ def is_weierstrass(cx, pt, seed=0) -> bool:
     return rank(cx, point_divisor(cx, pt, g), seed=seed) >= 1
 
 
-def weierstrass_grid(cx, denominators=(2, 3)):
-    """Search grid: graphical vertices, sampled curve points, and rational
-    interior edge points."""
+def weierstrass_grid(cx):
+    """Search grid: graphical vertices, sampled curve points, and the
+    interior edge points at 1/2, 1/3 and 2/3 of each edge."""
     pts = []
     for s in rank_determining_sites(cx):
         if s.kind == "g":
@@ -423,7 +403,7 @@ def weierstrass_grid(cx, denominators=(2, 3)):
         else:
             pts.append((s.vertex, s.point))
     for name, e in sorted(cx.model.edges.items()):
-        for q in denominators:
+        for q in (2, 3):
             for j in range(1, q):
                 pts.append(cx.model.point_on(name, e.length * j / q))
     return pts

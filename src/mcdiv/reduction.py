@@ -26,20 +26,17 @@ DEFAULT_EVENT_CAP = 10**6
 
 @dataclass
 class Cut:
-    """A closed region of the graph held by a refinement: surviving nodes
-    plus the refined segments joining two surviving nodes."""
+    """A closed region of the graph, given by its surviving nodes in a
+    refinement."""
 
     refinement: Refinement
     nodes: set  # surviving GraphPoints
-    redges: set  # indices of refined segments inside the region
 
     def outgoing(self):
         """Segments leaving the region: (redge index, end holding the
         boundary node)."""
         out = []
         for i, re in enumerate(self.refinement.redges):
-            if i in self.redges:
-                continue
             a, b = re.ends
             if a in self.nodes and b not in self.nodes:
                 out.append((i, 0))
@@ -63,7 +60,6 @@ class Cut:
 class BurnResult:
     all_burnt: bool
     cut: Cut | None = None
-    evidence: dict | None = None  # boundary point -> blocking data
 
 
 def _marked_point_of_redge(cx, v, redge):
@@ -142,15 +138,7 @@ def burn(cx: MetrizedComplex, d: ComplexDivisor, v0: GraphPoint) -> BurnResult:
                 todo.append(y)
     if len(burnt) == len(ref.nodes):
         return BurnResult(True)
-    nodes = {x for x in ref.nodes if x not in burnt}
-    redges = {
-        i
-        for i, re in enumerate(ref.redges)
-        if re.ends[0] in nodes and re.ends[1] in nodes
-    }
-    cut = Cut(ref, nodes, redges)
-    evidence = {x: _blocking(cx, d, x, segs) for x, segs in cut.fronts().items()}
-    return BurnResult(False, cut, evidence)
+    return BurnResult(False, Cut(ref, {x for x in ref.nodes if x not in burnt}))
 
 
 def check_saturated(cx, d, cut: Cut) -> bool:
@@ -308,13 +296,8 @@ def clear_debt(cx, d: ComplexDivisor, v0: GraphPoint, cap=DEFAULT_EVENT_CAP,
                 y = ref.redges[i].ends[1 - end]
                 if y != z and y not in nodes:
                     stack.append(y)
-        redges = {
-            i
-            for i, re in enumerate(ref.redges)
-            if re.ends[0] in nodes and re.ends[1] in nodes
-        }
-        cut = Cut(ref, nodes, redges)
-        d, _eps, inc = fire_cut(cx, d, cut, debt_mode=True, want_witness=want_witness)
+        d, _eps, inc = fire_cut(cx, d, Cut(ref, nodes), debt_mode=True,
+                                want_witness=want_witness)
         if wit is not None:
             wit.absorb(inc)
             if check_each_step and not (start + wit.divisor() == d):

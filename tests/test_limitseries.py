@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from mcdiv.complexes import NodalCurveDescription, regularize
+from mcdiv.complexes import NodalCurveDescription, as_trivial_complex, regularize
 from mcdiv.curves import P1Oracle
 from mcdiv.errors import InputError
 from mcdiv.exact import INF, Poly, QQ, RationalFunc
@@ -22,6 +22,7 @@ from mcdiv.limitseries import (
     restricted_rank,
     vanishing_sequence,
 )
+from mcdiv.metric import GraphModel
 from mcdiv.rank import point_divisor, rank
 
 
@@ -240,6 +241,56 @@ class TestRestrictedRank:
             curve_parts={"Y": d.curve_part("Y"), "Z": d.curve_part("Z") - shift}
         )
         assert restricted_rank(cx, d2, spaces2) == base
+
+
+class TestRestrictedRankGuards:
+    @staticmethod
+    def inputs(case):
+        if case == "edge length":
+            model = GraphModel(["a", "b"], [("e", "a", "b", 2)])
+            cx = as_trivial_complex(model)
+            return cx, cx.zero_divisor(), {"a": mono(0), "b": mono(0)}
+        cx = two_lines()
+        spaces = {"Y": mono(0, 1), "Z": mono(0, 1)}
+        if case == "missing space":
+            del spaces["Z"]
+            return cx, cx.zero_divisor(), spaces
+        d = cx.divisor(graph_pairs=[(cx.model.point_on("n0", Fraction(1, 2)), 1)])
+        return cx, d, spaces
+
+    @pytest.mark.parametrize("case, message", [
+        ("edge length", "unit edge lengths"),
+        ("missing space", "no function space at Z"),
+        ("interior chip", "vertex-supported divisors"),
+    ])
+    def test_rejected(self, case, message):
+        cx, d, spaces = self.inputs(case)
+        with pytest.raises(InputError, match=message):
+            restricted_rank(cx, d, spaces)
+
+
+class TestRestrictedSearchCount:
+    """subspace_meets calls on the inputs of test_two_lines_limit_value,
+    recorded before the rank engines shared one search loop; a change to
+    the order of test chips or potentials, or to the short-circuits, moves
+    these counts."""
+
+    @pytest.mark.parametrize("validate, expected", [(False, 75), (True, 191)])
+    def test_subspace_meets_calls(self, monkeypatch, validate, expected):
+        calls = []
+        original = FunctionSpace.subspace_meets
+
+        def counting(self, bound):
+            calls.append(bound)
+            return original(self, bound)
+
+        monkeypatch.setattr(FunctionSpace, "subspace_meets", counting)
+        cx = two_lines()
+        oy, oz = cx.oracles["Y"], cx.oracles["Z"]
+        d = eqD_divisor(cx, "Y", {"Y": oy.divisor((INF, 2)), "Z": oz.divisor((INF, 2))})
+        spaces = {"Y": mono(0, 1), "Z": mono(1, 2)}
+        assert restricted_rank(cx, d, spaces, validate=validate) == 1
+        assert len(calls) == expected
 
 
 class TestRestrictedEta:

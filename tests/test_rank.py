@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from mcdiv.complexes import as_trivial_complex, graphical_complex
-from mcdiv.complexes import NodalCurveDescription, regularize
+from mcdiv.complexes import MetrizedComplex, NodalCurveDescription, regularize
 from mcdiv.curves import EllipticOracle, O_POINT, P1Oracle
 from mcdiv.decomposition import WeightedGraph, graph_rank, weighted_rank
 from mcdiv.errors import InputError
@@ -336,6 +336,39 @@ class TestCombinatorialRank:
         cx = as_trivial_complex(model)
         with pytest.raises(InputError):
             combinatorial_rank(cx, cx.zero_divisor())
+
+    @pytest.mark.parametrize("case, message", [
+        ("graphical vertex", "curve at every vertex"),
+        ("graph part", "supported on the vertex curves"),
+    ])
+    def test_rejects_input_off_the_vertex_curves(self, case, message):
+        if case == "graphical vertex":
+            model = GraphModel(["a", "b"], [("e", "a", "b", 1)])
+            cx = MetrizedComplex(model, {"a": P1Oracle(QQ)}, {"a": {("e", 0): QQ.elem(0)}})
+            d = cx.zero_divisor()
+        else:
+            cx = self.two_lines()
+            d = cx.divisor(graph_pairs=[(cx.model.point_on("n0", Fraction(1, 2)), 1)])
+        with pytest.raises(InputError, match=message):
+            combinatorial_rank(cx, d)
+
+    def test_oracle_query_count(self, monkeypatch):
+        """Curve rank queries on two lines at degree 2, recorded before the
+        rank engines shared one search loop; a change to the order of test
+        chips or potentials, or to the short-circuits, moves this count."""
+        calls = []
+        original = P1Oracle.curve_rank
+
+        def counting(self, d):
+            calls.append(d)
+            return original(self, d)
+
+        monkeypatch.setattr(P1Oracle, "curve_rank", counting)
+        cx = self.two_lines()
+        o = cx.oracles["Y"]
+        div = cx.divisor(curve_parts={"Y": o.divisor((QQ.elem(1), 2))})
+        assert combinatorial_rank(cx, div) == 2
+        assert len(calls) == 84
 
 
 class TestWeierstrass:

@@ -83,9 +83,9 @@ class TestBurn:
         assert not res.all_burnt
         vb = model.vertex_point("b")
         assert vb in res.cut.nodes
-        # blocking evidence: the part left after removing the burnt marked
+        # blocking data: the part left after removing the burnt marked
         # point, together with its (non-negative) rank
-        kind, remainder, r = res.evidence[vb]
+        kind, remainder, r = reduction._blocking(cx_, d, vb, res.cut.fronts()[vb])
         assert kind == "curve" and r >= 0
         assert remainder == d.curve_part("b") - ell.divisor((O_POINT, 1))
 
