@@ -10,8 +10,6 @@ from fractions import Fraction
 
 from .errors import InputError
 
-Scalar = Fraction  # exact rationals; Fraction keeps gcd=1 and den>0
-
 
 def is_prime(n: int) -> bool:
     if n < 2:
@@ -73,7 +71,6 @@ class Field:
 
 class Rationals(Field):
     name = "Q"
-    finite = False
 
     def elem(self, x):
         return Fraction(x)
@@ -106,8 +103,6 @@ class Rationals(Field):
 
 
 class PrimeField(Field):
-    finite = True
-
     def __init__(self, p: int):
         if not is_prime(p):
             raise InputError(f"{p} is not prime")

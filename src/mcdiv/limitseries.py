@@ -19,7 +19,8 @@ from .rank import Site, _largest_k, _potentials, point_divisor, rank, site_divis
 
 class FunctionSpace:
     """A linear span of rational functions on a projective line, held by a
-    validated basis."""
+    validated basis over one common denominator: basis[i] = nums[i] / den,
+    and `poles` are the roots of den, sorted."""
 
     def __init__(self, oracle: P1Oracle, basis):
         if not isinstance(oracle, P1Oracle):
@@ -28,13 +29,24 @@ class FunctionSpace:
         self.basis = list(basis)
         if not self.basis:
             raise InputError("function space needs a nonzero basis")
+        field = oracle.field
+        den = Poly.const(field, 1)
+        poles = set()
         for f in self.basis:
             if f.is_zero():
                 raise InputError("zero function in basis")
-            _roots, cof = f.den.rational_roots()
+            roots, cof = f.den.rational_roots()
             if cof.degree > 0:
                 raise InputError("basis denominators must split over the field")
-        if self._dependent():
+            poles.update(roots)
+            den = den * f.den
+        self.den = den
+        self.nums = [f.num * (den // f.den) for f in self.basis]
+        self.poles = sorted(poles, key=oracle.point_key)
+        width = max(len(n.coeffs) for n in self.nums)
+        zero = field.zero()
+        rows = [list(n.coeffs) + [zero] * (width - len(n.coeffs)) for n in self.nums]
+        if MatrixF(field, rows).rank() < len(rows):
             raise InputError("basis is linearly dependent")
         self.meets_memo = {}  # bound key -> bool; only ever gains entries
 
@@ -42,68 +54,39 @@ class FunctionSpace:
     def dim(self):
         return len(self.basis)
 
-    def _dependent(self):
-        den = Poly.const(self.oracle.field, 1)
-        for f in self.basis:
-            den = den * f.den
-        rows = []
-        deg_cap = 0
-        nums = []
-        for f in self.basis:
-            n = f.num * (den // f.den)
-            nums.append(n)
-            deg_cap = max(deg_cap, n.degree)
-        for n in nums:
-            row = list(n.coeffs) + [self.oracle.field.zero()] * (
-                deg_cap + 1 - len(n.coeffs)
-            )
-            rows.append(row)
-        m = MatrixF(self.oracle.field, rows)
-        return m.rank() < len(self.basis)
-
-    def element(self, coeffs):
-        out = None
-        for c, f in zip(coeffs, self.basis):
-            term = f.scale(c)
-            out = term if out is None else out + term
-        return out
+    def min_ord(self, p) -> int:
+        """Smallest order at p of a nonzero element of the span."""
+        if p is INF:
+            return self.den.degree - max(n.degree for n in self.nums)
+        return min(n.mult_at(p) for n in self.nums) - self.den.mult_at(p)
 
     def contained_in_L(self, d: CurveDivisor) -> bool:
-        """Whether every basis element f satisfies div(f) + d >= 0."""
-        for f in self.basis:
-            pts = set(p for p in d.support() if p is not INF)
-            droots, _ = f.den.rational_roots()
-            pts.update(droots)
-            for p in pts:
-                if ord_at(f, p) < -d.get(p):
-                    return False
-            if ord_at(f, INF) < -d.get(INF):
-                return False
-        return True
+        """Whether every element f of the span satisfies div(f) + d >= 0."""
+        pts = set(p for p in d.support() if p is not INF)
+        pts.update(self.poles)
+        return self.min_ord(INF) >= -d.get(INF) and all(
+            self.min_ord(p) >= -d.get(p) for p in pts
+        )
 
     def constrained_dim(self, constraints):
-        """Dimension of {f in span : ord_p(f) >= m_p for all constraints}."""
+        """Dimension and kernel basis of {f in span : ord_p(f) >= m_p for all
+        constraints}.  For f = sum c_i nums[i] / den, the Taylor coefficients
+        of sum c_i nums[i] at p below m_p + mult_p(den) vanish (at INF: its
+        coefficients of t^j with j > deg den - m_p)."""
         rows = []
         field = self.oracle.field
+        zero = field.zero()
         for p, m in constraints:
-            orders = []
-            expansions = []
-            for f in self.basis:
-                k, coeffs = laurent_at(f, p, max(1, m - _min_ord(self.basis, p)))
-                orders.append(k)
-                expansions.append(coeffs)
-            k_min = min(orders)
-            for j in range(k_min, m):
-                row = []
-                for k, coeffs in zip(orders, expansions):
-                    idx = j - k
-                    row.append(
-                        coeffs[idx] if 0 <= idx < len(coeffs) else field.zero()
-                    )
-                rows.append(row)
+            if p is INF:
+                cols = [n.coeffs for n in self.nums]
+                js = range(max(0, self.den.degree - m + 1), max(map(len, cols)))
+            else:
+                cols = [n.shifted(p).coeffs for n in self.nums]
+                js = range(m + self.den.mult_at(p))
+            rows.extend([c[j] if j < len(c) else zero for c in cols] for j in js)
         if not rows:
             return self.dim, [
-                [field.one() if i == j else field.zero() for j in range(self.dim)]
+                [field.one() if i == j else zero for j in range(self.dim)]
                 for i in range(self.dim)
             ]
         m = MatrixF(field, rows)
@@ -116,14 +99,12 @@ class FunctionSpace:
         if key in cache:
             return cache[key]
         constraints = []
-        pts = set(p for p, c in bound.coeffs.items())
-        for f in self.basis:
-            droots, _ = f.den.rational_roots()
-            pts.update(droots)
+        pts = set(bound.coeffs)
+        pts.update(self.poles)
         pts.add(INF)
         for p in sorted(pts, key=self.oracle.point_key):
             m = -bound.get(p)
-            if m > _min_ord(self.basis, p):
+            if m > self.min_ord(p):
                 constraints.append((p, m))
         dim, _ = self.constrained_dim(constraints)
         cache[key] = dim > 0
@@ -131,10 +112,6 @@ class FunctionSpace:
 
     def rescale(self, f: RationalFunc) -> "FunctionSpace":
         return FunctionSpace(self.oracle, [b * f for b in self.basis])
-
-
-def _min_ord(basis, p):
-    return min(ord_at(f, p) for f in basis)
 
 
 def _wronskian(polys):
@@ -168,11 +145,7 @@ def _perm_sign(perm):
 def ramification_points(space: FunctionSpace):
     """Field-rational points where the vanishing sequence of the span is
     non-generic: rational roots of the basis Wronskian."""
-    den = Poly.const(space.oracle.field, 1)
-    for f in space.basis:
-        den = den * f.den
-    nums = [f.num * (den // f.den) for f in space.basis]
-    w = _wronskian(nums)
+    w = _wronskian(space.nums)
     if w.is_zero():
         return None  # degenerate (inseparability); caller must widen pools
     roots, _ = w.rational_roots()
@@ -234,10 +207,10 @@ def _node_points(cx, edge_name):
     )
 
 
-def crude_limit_check(cx: MetrizedComplex, aspects, d: int, r: int, refined=False):
+def crude_limit_check(cx: MetrizedComplex, aspects, d: int, r: int):
     """The node inequalities of a crude limit series: at every node, the
     i-th vanishing order on one side plus the (r-i)-th on the other side
-    reaches the degree; `refined` demands equality throughout.
+    reaches the degree.
 
     Returns (ok, violations).
     """
@@ -263,7 +236,7 @@ def crude_limit_check(cx: MetrizedComplex, aspects, d: int, r: int, refined=Fals
             raise InputError(f"vanishing sequences at node {name} have wrong length")
         for i in range(r + 1):
             total = sv[i] + su[r - i]
-            if total < d or (refined and total != d):
+            if total < d:
                 violations.append((name, i, sv[i], su[r - i]))
     return (not violations), violations
 
@@ -334,11 +307,10 @@ def _restricted_sites(cx, d, spaces, fresh):
         for q in d.curve_part(v).support():
             if q is not INF:
                 special.add(q)
+        special.update(space.poles)
         for f in space.basis:
             nroots, _ = f.num.rational_roots()
-            droots, _ = f.den.rational_roots()
             special.update(nroots)
-            special.update(droots)
         ram = ramification_points(space)
         if ram is None:
             fresh_here = fresh + 3

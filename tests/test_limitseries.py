@@ -1,6 +1,8 @@
 """Vanishing sequences, restricted ranks, and the compact-type limit
 series checks."""
 
+import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -8,7 +10,7 @@ import pytest
 from mcdiv.complexes import NodalCurveDescription, as_trivial_complex, regularize
 from mcdiv.curves import P1Oracle
 from mcdiv.errors import InputError
-from mcdiv.exact import INF, Poly, QQ, RationalFunc
+from mcdiv.exact import INF, Poly, PrimeField, QQ, RationalFunc, ord_at
 from mcdiv.limitseries import (
     Aspect,
     FunctionSpace,
@@ -72,6 +74,107 @@ class TestFunctionSpace:
         dim, _ = h.constrained_dim([(QQ.elem(0), 2)])
         assert dim == 1  # only t^2 vanishes doubly at 0
 
+    def test_dependent_only_over_common_denominator(self):
+        # 1/(t-1) - 1/t = 1/(t(t-1)): no two elements are proportional
+        o = P1Oracle(QQ)
+        t1 = T - ONE
+        with pytest.raises(InputError, match="dependent"):
+            FunctionSpace(o, [rf(ONE, T), rf(ONE, t1), rf(ONE, T * t1)])
+
+    def test_nonsplit_denominator_rejected(self):
+        with pytest.raises(InputError, match="must split"):
+            FunctionSpace(P1Oracle(QQ), [rf(ONE, T * T + ONE)])
+
+    def test_common_denominator(self):
+        t1 = T - ONE
+        h = FunctionSpace(P1Oracle(QQ), [rf(ONE, T), rf(T, t1 * t1), rf(T * T)])
+        assert h.poles == [QQ.elem(0), QQ.elem(1)]
+        assert [RationalFunc.make(n, h.den) for n in h.nums] == h.basis
+
+
+def random_space(rng, field):
+    """A random span over a prime field: 1-3 elements, numerators of degree
+    at most 3, denominators made of 0-2 linear factors; None when the draw
+    is dependent."""
+    p = field.p
+    basis = []
+    for _ in range(rng.randint(1, 3)):
+        num = Poly.make(field, [rng.randrange(p) for _ in range(rng.randint(1, 4))])
+        if num.is_zero():
+            num = Poly.const(field, 1)
+        den = Poly.const(field, 1)
+        for _ in range(rng.randint(0, 2)):
+            den = den * Poly.make(field, [rng.randrange(p), 1])
+        basis.append(RationalFunc.make(num, den))
+    try:
+        return FunctionSpace(P1Oracle(field), basis)
+    except InputError as exc:
+        assert "dependent" in str(exc)
+        return None
+
+
+class TestLocalModel:
+    """min_ord, contained_in_L and constrained_dim, answered from the common
+    denominator, against per-element orders and brute force over small
+    prime fields."""
+
+    @staticmethod
+    def draw(p, count):
+        """A generator seeded with p, the points of P^1(F_p) and `count`
+        independent random spaces over F_p."""
+        rng = random.Random(p)
+        field = PrimeField(p)
+        spaces = []
+        while len(spaces) < count:
+            space = random_space(rng, field)
+            if space is not None:
+                spaces.append(space)
+        return rng, [field.elem(a) for a in range(p)] + [INF], spaces
+
+    @pytest.mark.parametrize("p", [5, 7])
+    def test_min_ord_matches_basis_orders(self, p):
+        _, points, spaces = self.draw(p, 40)
+        for space in spaces:
+            for q in points:
+                assert space.min_ord(q) == min(ord_at(f, q) for f in space.basis)
+
+    @pytest.mark.parametrize("p", [5, 7])
+    def test_contained_in_L_matches_definition(self, p):
+        rng, points, spaces = self.draw(p, 40)
+        for space in spaces:
+            for _ in range(4):
+                d = space.oracle.divisor(
+                    *[(q, rng.randint(-2, 3)) for q in rng.sample(points, 3)]
+                )
+                expected = all(
+                    ord_at(f, q) >= -d.get(q) for f in space.basis for q in points
+                )
+                assert space.contained_in_L(d) == expected
+
+    @pytest.mark.parametrize("p", [5, 7])
+    def test_constrained_dim_matches_brute_force(self, p):
+        field = PrimeField(p)
+        zero = RationalFunc.const(field, 0)
+        rng, points, spaces = self.draw(p, 12)
+        for space in spaces:
+            elements = []
+            for cs in itertools.product(range(p), repeat=space.dim):
+                f = zero
+                for c, b in zip(cs, space.basis):
+                    f = f + b.scale(c)
+                elements.append(f)
+            for _ in range(2):
+                cons = []
+                for q in rng.sample(points, rng.randint(1, 2)):
+                    cons.append((q, space.min_ord(q) + rng.randint(-1, 2)))
+                meets = sum(
+                    1
+                    for f in elements
+                    if f.is_zero() or all(ord_at(f, q) >= m for q, m in cons)
+                )
+                dim, _ = space.constrained_dim(cons)
+                assert p**dim == meets, (space.basis, cons)
+
 
 class TestVanishingSequence:
     def test_full_monomials(self):
@@ -123,6 +226,13 @@ class TestVanishingSequence:
         )
         pts = ramification_points(h)
         assert QQ.elem(0) in pts
+
+    def test_ramification_points_with_poles(self):
+        t2 = T + ONE.scale(2)
+        h = FunctionSpace(
+            P1Oracle(QQ), [rf(ONE), rf(T * T, T - ONE), rf(T * T * T * T, t2 * t2)]
+        )
+        assert ramification_points(h) == [QQ.elem(-2), QQ.elem(0)]
 
 
 class TestCrudeCheck:

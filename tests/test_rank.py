@@ -11,7 +11,7 @@ from mcdiv.curves import EllipticOracle, O_POINT, P1Oracle
 from mcdiv.decomposition import WeightedGraph, graph_rank, weighted_rank
 from mcdiv.errors import InputError
 from mcdiv.exact import INF, Poly, PrimeField, QQ, RationalFunc
-from mcdiv.limitseries import FunctionSpace
+from mcdiv.limitseries import FunctionSpace, restricted_rank, vanishing_sequence
 from mcdiv.metric import GraphDivisor, GraphModel, enumerate_acyclic_orientations
 from mcdiv.rank import (
     Moderator,
@@ -417,6 +417,22 @@ class TestNoHiddenState:
         assert not space.subspace_meets(o.divisor((INF, -1)))
         assert len(space.meets_memo) == 2
         assert set(vars(space)) == before
+
+    def test_limit_series_operations_keep_space_attributes(self):
+        cx = regularize(NodalCurveDescription(
+            {"Y": P1Oracle(QQ), "Z": P1Oracle(QQ)}, [("Y", QQ.elem(0), "Z", QQ.elem(0))]))
+        oy, oz = cx.oracles["Y"], cx.oracles["Z"]
+        t = Poly.x(QQ)
+        one = Poly.const(QQ, 1)
+        spaces = {"Y": FunctionSpace(oy, [RationalFunc.make(one, one), RationalFunc.make(t, one)]),
+                  "Z": FunctionSpace(oz, [RationalFunc.make(t, one), RationalFunc.make(t * t, one)])}
+        before = {v: set(vars(s)) for v, s in spaces.items()}
+        d = cx.divisor(curve_parts={"Y": oy.divisor((INF, 2)),
+                                    "Z": oz.divisor((INF, 2), (QQ.elem(0), -2))})
+        assert spaces["Y"].contained_in_L(oy.divisor((INF, 1)))
+        assert vanishing_sequence(oz, oz.divisor((INF, 2)), spaces["Z"], QQ.elem(0)) == (1, 2)
+        assert restricted_rank(cx, d, spaces) == 1
+        assert {v: set(vars(s)) for v, s in spaces.items()} == before
 
     def test_weighted_rank_keeps_model_attributes(self):
         model = GraphModel(["a", "b"], [("e", "a", "b", 1)])
