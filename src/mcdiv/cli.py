@@ -102,13 +102,12 @@ def cmd_reduce(doc, args):
     v0 = _parse_base(doc.complex, args.base)
     cap = args.budget or reduction.DEFAULT_EVENT_CAP
     red, wit = reduction.reduce_divisor(doc.complex, d, v0, cap=cap)
-    shifts = sum(1 for s in wit.shifts.values() if s.coeffs)
     _emit(
         args,
         {
             "reduced": json.dumps(divisor_json(doc.complex, red), sort_keys=True),
             "witness-breakpoints": len(wit.f_gamma.values),
-            "witness-curve-shifts": shifts,
+            "witness-curve-shifts": len(wit.witnesses),
             "identity": "ok",
         },
     )

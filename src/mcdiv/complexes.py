@@ -252,31 +252,42 @@ class ComplexRationalFunction:
             return o.divisor_of(w)
         return w
 
-    def div_gamma_at_vertex(self, v) -> CurveDivisor:
-        """Sum of outgoing slopes of the graph part, placed on the marked
-        points of the curve at v."""
-        o = self.cx.oracles[v]
-        out = o.zero_divisor()
-        for e, end in self.cx.model.incident_edges(v):
-            s = self.f_gamma.slope_at_edge_end(e.name, end)
-            if s:
-                out = out + o.divisor((self.cx.marked_point(v, e.name, end), s))
-        return out
-
     def divisor(self) -> ComplexDivisor:
-        """div of the function; always degree zero."""
-        graph_div = self.f_gamma.divisor()
-        graph = {}
-        curves = {}
-        for p, c in graph_div.coeffs.items():
-            if p.kind == "v" and self.cx.is_oracle_vertex(p.where):
-                continue  # accounted for through the marked points below
-            graph[p] = c
-        for v in self.cx.oracle_vertices():
-            d = self.curve_divisor_shift(v) + self.div_gamma_at_vertex(v)
-            if d.coeffs:
-                curves[v] = d
+        """div of the function; always degree zero.  The outgoing slope of
+        each refined segment lands on its end node, or at an oracle vertex
+        on the marked point the segment meets; div f_v is added at v."""
+        f = self.f_gamma
+        graph, curves = {}, {}
+        for n in f.ref.nodes:
+            for i, _end in f.ref.adj[n]:
+                s = f.outgoing_slope(n, i)
+                if s:
+                    _add_chips(self.cx, graph, curves, n, f.ref.redges[i], s)
+        for v in self.witnesses:
+            shift = self.curve_divisor_shift(v)
+            curves[v] = curves[v] + shift if v in curves else shift
         return ComplexDivisor(self.cx, GraphDivisor(graph), curves)
+
+
+def _marked_point_of_redge(cx, v, redge):
+    """Marked point of C_v for the base-edge end a refined segment meets."""
+    base = cx.model.edges[redge.base]
+    if redge.lo == 0 and redge.ends[0] == cx.model.vertex_point(v):
+        return cx.marks[v][(base.name, 0)]
+    if redge.hi == base.length and redge.ends[1] == cx.model.vertex_point(v):
+        return cx.marks[v][(base.name, 1)]
+    raise InputError("segment does not meet the vertex at a base-edge end")
+
+
+def _add_chips(cx, graph, curves, x, re, c):
+    """Add c chips at the node x of the refined segment re: on the marked
+    point re meets at an oracle vertex, on the graph elsewhere."""
+    if x.kind == "v" and cx.is_oracle_vertex(x.where):
+        o = cx.oracles[x.where]
+        mp = _marked_point_of_redge(cx, x.where, re)
+        curves[x.where] = curves.get(x.where, o.zero_divisor()) + o.divisor((mp, c))
+    else:
+        graph[x] = graph.get(x, 0) + c
 
 
 # -- chip-firing moves ----------------------------------------------------

@@ -81,6 +81,14 @@ def eta_v(oracle: CurveOracle, d_v, marks, k: int) -> int:
 # -- connected sums ----------------------------------------------------------
 
 
+def _carry(model, vmap, emap, side, p: GraphPoint) -> GraphPoint:
+    """The point of `model` that p of piece `side` becomes, through the
+    maps (side, old vertex) -> new vertex and (side, old edge) -> new edge."""
+    if p.kind == "v":
+        return model.vertex_point(vmap[(side, p.where)])
+    return model.point_on(emap[(side, p.where)], p.offset)
+
+
 @dataclass
 class GluedComplex:
     """Two complexes joined by a bridge edge; knows how to transport
@@ -91,15 +99,7 @@ class GluedComplex:
     edge_map: dict  # (side, old edge) -> new edge
 
     def lift(self, side: int, d: ComplexDivisor) -> ComplexDivisor:
-        graph = []
-        for p, c in d.graph.coeffs.items():
-            if p.kind == "v":
-                q = self.complex.model.vertex_point(self.vertex_map[(side, p.where)])
-            else:
-                q = self.complex.model.point_on(
-                    self.edge_map[(side, p.where)], p.offset
-                )
-            graph.append((q, c))
+        graph = [(self.lift_point(side, p), c) for p, c in d.graph.coeffs.items()]
         # the glued complex shares the pieces' oracles; the divisor
         # constructor rejects a curve part built on any other oracle
         curves = {self.vertex_map[(side, v)]: dv for v, dv in d.curves.items()}
@@ -107,9 +107,7 @@ class GluedComplex:
 
     def lift_point(self, side: int, pt):
         if isinstance(pt, GraphPoint):
-            if pt.kind == "v":
-                return self.complex.model.vertex_point(self.vertex_map[(side, pt.where)])
-            return self.complex.model.point_on(self.edge_map[(side, pt.where)], pt.offset)
+            return _carry(self.complex.model, self.vertex_map, self.edge_map, side, pt)
         v, p = pt
         return (self.vertex_map[(side, v)], p)
 
@@ -214,14 +212,7 @@ def wedge_model(model1: GraphModel, v1: str, model2: GraphModel, v2: str):
     model = GraphModel(vertices, edges)
 
     def carry(side, d: GraphDivisor) -> GraphDivisor:
-        out = {}
-        for p, c in d.coeffs.items():
-            if p.kind == "v":
-                q = model.vertex_point(vmap[(side, p.where)])
-            else:
-                q = model.point_on(emap[(side, p.where)], p.offset)
-            out[q] = out.get(q, 0) + c
-        return GraphDivisor(out)
+        return GraphDivisor({_carry(model, vmap, emap, side, p): c for p, c in d.coeffs.items()})
 
     return model, joint, carry
 
@@ -301,13 +292,9 @@ def gamma_sharp(wg: WeightedGraph, loop_lengths=None) -> GraphModel:
 def sharp_rank(wg: WeightedGraph, d: GraphDivisor, loop_lengths=None, seed=0) -> int:
     """Direct rank of d on the loop-augmented graph."""
     sharp = gamma_sharp(wg, loop_lengths)
-    out = {}
-    for p, c in d.coeffs.items():
-        if p.kind == "v":
-            out[sharp.vertex_point(p.where)] = c
-        else:
-            out[sharp.point_on(p.where, p.offset)] = c
-    return graph_rank(sharp, GraphDivisor(out), seed=seed)
+    same = {(0, n): n for n in [*wg.model.vertices, *wg.model.edges]}
+    out = GraphDivisor({_carry(sharp, same, same, 0, p): c for p, c in d.coeffs.items()})
+    return graph_rank(sharp, out, seed=seed)
 
 
 # -- vertex-twist upper bound ---------------------------------------------------

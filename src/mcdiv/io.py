@@ -44,9 +44,20 @@ def _at(path):
         _fail(path, f"malformed value ({err})")
 
 
+def _int(value, path):
+    """An integer field: a JSON integer or a string of one.  Floats and
+    booleans are refused rather than truncated."""
+    if not isinstance(value, (bool, float)):
+        try:
+            return int(value)
+        except (TypeError, ValueError):
+            pass
+    _fail(path, f"not an integer: {value!r}")
+
+
 def parse_rational(s, path):
     try:
-        if isinstance(s, int):
+        if isinstance(s, int) and not isinstance(s, bool):
             return Fraction(s)
         if isinstance(s, str):
             return Fraction(s)
@@ -84,8 +95,9 @@ def parse_curve_point(oracle, obj, path):
         if obj == {"O": True}:
             return O_POINT
         if isinstance(obj, dict) and "x" in obj and "y" in obj:
+            x, y = _int(obj["x"], path + ".x"), _int(obj["y"], path + ".y")
             with _at(path):
-                return oracle.point(int(obj["x"]), int(obj["y"]))
+                return oracle.point(x, y)
         _fail(path, "elliptic point wants {'O': true} or {'x':.., 'y':..}")
     if isinstance(oracle, TableOracle):
         if isinstance(obj, dict) and "label" in obj:
@@ -140,36 +152,43 @@ def parse_oracle(spec, path):
         for k in ("p", "a", "b"):
             if k not in spec:
                 _fail(path, f"elliptic oracle needs '{k}'")
+        p, a, b = (_int(spec[k], path) for k in ("p", "a", "b"))
         with _at(path):
-            return EllipticOracle(int(spec["p"]), int(spec["a"]), int(spec["b"]))
+            return EllipticOracle(p, a, b)
     if t == "table":
         with _at(path):
             table = {}
-            for row in spec["rank_table"]:
+            for i, row in enumerate(spec["rank_table"]):
+                rp = f"{path}.rank_table[{i}]"
                 deg, cls, r = row
-                table[(int(deg), tuple(cls))] = int(r)
+                table[(_int(deg, rp), tuple(_int(x, rp) for x in cls))] = _int(r, rp)
             return TableOracle(
-                int(spec["genus"]),
-                tuple(spec["moduli"]),
-                {k: tuple(v) for k, v in spec["points"].items()},
+                _int(spec["genus"], path + ".genus"),
+                tuple(_int(m, path + ".moduli") for m in spec["moduli"]),
+                {k: tuple(_int(x, f"{path}.points.{k}") for x in v)
+                 for k, v in spec["points"].items()},
                 table,
-                tuple(spec["canonical_class"]),
+                tuple(_int(x, path + ".canonical_class") for x in spec["canonical_class"]),
             )
     _fail(path, f"unknown oracle type {t!r}")
 
 
 def parse_ratfunc(field_obj, obj, path):
-    def coeff(c):
-        q = Fraction(c)
-        if isinstance(field_obj, PrimeField):
-            if q.denominator != 1:
-                raise ValueError(f"prime-field coefficient must be an integer: {c}")
-            return q.numerator
-        return q
+    def coeffs(key, cs):
+        out = []
+        for j, c in enumerate(cs):
+            cp = f"{path}.{key}[{j}]"
+            q = parse_rational(c, cp)
+            if isinstance(field_obj, PrimeField):
+                if q.denominator != 1:
+                    _fail(cp, "prime-field coefficient must be an integer")
+                q = q.numerator
+            out.append(q)
+        return out
 
     with _at(path):
-        num = Poly.make(field_obj, [coeff(c) for c in obj["num"]])
-        den = Poly.make(field_obj, [coeff(c) for c in obj.get("den", ["1"])])
+        num = Poly.make(field_obj, coeffs("num", obj["num"]))
+        den = Poly.make(field_obj, coeffs("den", obj.get("den", ["1"])))
         return RationalFunc.make(num, den)
 
 
@@ -253,7 +272,7 @@ def _parse_divisor(cx, obj, path):
             p = f"{path}.graph[{i}]"
             with _at(p):
                 pt_obj, coeff = pair
-                graph.append((parse_graph_point(cx.model, pt_obj, p), int(coeff)))
+                graph.append((parse_graph_point(cx.model, pt_obj, p), _int(coeff, p)))
         curves = {}
         for v, pairs in obj.get("curves", {}).items():
             p = f"{path}.curves.{v}"
@@ -270,7 +289,8 @@ def _parse_curve_divisor(o, pairs, path):
     d = o.zero_divisor()
     for i, pair in enumerate(pairs):
         with _at(f"{path}[{i}]"):
-            d = d + o.divisor((parse_curve_point(o, pair[0], f"{path}[{i}]"), int(pair[1])))
+            pt = parse_curve_point(o, pair[0], f"{path}[{i}]")
+            d = d + o.divisor((pt, _int(pair[1], f"{path}[{i}]")))
     return d
 
 
@@ -309,8 +329,7 @@ def parse_document(text: str) -> Document:
     if "complex" not in raw:
         _fail("document", "missing 'complex'")
     cx = _parse_complex(raw["complex"], "complex")
-    with _at("seed"):
-        seed = int(raw.get("seed", 0))
+    seed = _int(raw.get("seed", 0), "seed")
     doc = Document(complex=cx, seed=seed, raw=raw)
     if "complex2" in raw:
         doc.complex2 = _parse_complex(raw["complex2"], "complex2")
@@ -338,14 +357,15 @@ def parse_document(text: str) -> Document:
         p = f"weighted_graphs.{name}"
         model = _parse_model(obj, p)
         with _at(p):
-            weights = {v: int(w) for v, w in obj.get("weights", {}).items()}
+            weights = {v: _int(w, f"{p}.weights.{v}") for v, w in obj.get("weights", {}).items()}
             divisors = {}
             for dn, pairs in obj.get("divisors", {}).items():
                 dd = {}
                 for i, pair in enumerate(pairs):
-                    with _at(f"{p}.divisors.{dn}[{i}]"):
-                        pt = parse_graph_point(model, pair[0], f"{p}.divisors.{dn}[{i}]")
-                        dd[pt] = dd.get(pt, 0) + int(pair[1])
+                    pp = f"{p}.divisors.{dn}[{i}]"
+                    with _at(pp):
+                        pt = parse_graph_point(model, pair[0], pp)
+                        dd[pt] = dd.get(pt, 0) + _int(pair[1], pp)
                 divisors[dn] = GraphDivisor(dd)
             doc.weighted[name] = (WeightedGraph(model, weights), divisors)
     for name, obj in _section(raw, "limit_series"):
@@ -359,8 +379,8 @@ def _parse_limit_series(cx, obj, p):
     root = obj.get("root")
     if root not in cx.model.vertices:
         _fail(p, f"unknown root {root!r}")
-    d = int(obj.get("degree", 0))
-    r = int(obj.get("rank", 0))
+    d = _int(obj.get("degree", 0), f"{p}.degree")
+    r = _int(obj.get("rank", 0), f"{p}.rank")
     aspects = {}
     for v, a in obj.get("aspects", {}).items():
         pa = f"{p}.aspects.{v}"
@@ -372,7 +392,7 @@ def _parse_limit_series(cx, obj, p):
                 seqs = {}
                 for i, row in enumerate(a["table"]):
                     pt = parse_curve_point(o, row[0], f"{pa}.table[{i}]")
-                    seqs[pt] = tuple(int(x) for x in row[1])
+                    seqs[pt] = tuple(_int(x, f"{pa}.table[{i}]") for x in row[1])
                 aspects[v] = VanishingTable(seqs)
                 continue
             div = _parse_curve_divisor(o, a.get("divisor", []), f"{pa}.divisor")

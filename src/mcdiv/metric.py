@@ -261,7 +261,8 @@ class PLFunction:
     """Continuous piecewise-linear function with integer slopes.
 
     Stored as one rational value per node of a refinement; linear on each
-    refined segment.  Slope integrality is validated eagerly.
+    refined segment.  Slope integrality is validated eagerly, and the slope
+    of each refined segment (from its lo end) is kept.
     """
 
     def __init__(self, refinement: Refinement, values):
@@ -270,49 +271,25 @@ class PLFunction:
         for n in refinement.nodes:
             if n not in self.values:
                 raise InputError(f"no value at {n}")
+        self.slopes = []
         for re in refinement.redges:
-            s = self._slope(re)
+            s = (self.values[re.ends[1]] - self.values[re.ends[0]]) / re.length
             if s.denominator != 1:
                 raise InputError(f"non-integer slope {s} on {re.base}[{re.lo},{re.hi}]")
-
-    def _slope(self, re: REdge) -> Fraction:
-        return (self.values[re.ends[1]] - self.values[re.ends[0]]) / re.length
+            self.slopes.append(s.numerator)
 
     @staticmethod
     def constant(model: GraphModel, c=Fraction(0)):
         ref = model.refinement()
         return PLFunction(ref, {n: Fraction(c) for n in ref.nodes})
 
-    def value_at(self, p: GraphPoint) -> Fraction:
-        if p in self.values:
-            return self.values[p]
-        if p.kind != "e":
-            raise InputError(f"{p} not on the model")
-        for re in self.ref.redges:
-            if re.base == p.where and re.lo <= p.offset <= re.hi:
-                t = (p.offset - re.lo) / re.length
-                a, b = self.values[re.ends[0]], self.values[re.ends[1]]
-                return a + (b - a) * t
-        raise InputError(f"{p} not on the model")
-
     def outgoing_slope(self, node: GraphPoint, redge_index: int) -> int:
         re = self.ref.redges[redge_index]
-        s = self._slope(re)
         if re.ends[0] == node:
-            return int(s)
+            return self.slopes[redge_index]
         if re.ends[1] == node:
-            return int(-s)
+            return -self.slopes[redge_index]
         raise InputError("node not an end of the segment")
-
-    def slope_at_edge_end(self, edge_name: str, end: int) -> int:
-        """Outgoing slope at a base-edge endpoint along that edge."""
-        segs = [r for r in self.ref.redges if r.base == edge_name]
-        segs.sort(key=lambda r: r.lo)
-        if end == 0:
-            re = segs[0]
-            return int(self._slope(re))
-        re = segs[-1]
-        return int(-self._slope(re))
 
     def divisor(self) -> GraphDivisor:
         """div of the function: sum of outgoing slopes at every break point."""
@@ -328,9 +305,29 @@ class PLFunction:
     def __add__(self, o):
         if self.ref.model is not o.ref.model:
             raise InputError("functions live on different graphs")
-        pts = [n for n in self.ref.nodes + o.ref.nodes if n.kind == "e"]
-        ref = Refinement(self.ref.model, pts)
-        vals = {n: self.value_at(n) + o.value_at(n) for n in ref.nodes}
+        return PLFunction.sum(self.ref.model, [self, o])
+
+    @staticmethod
+    def sum(model: GraphModel, fs):
+        """The sum of the functions, on one common refinement: the union of
+        their interior nodes.  Vertex values add; along each base edge the
+        summed slope starts as the sum of the first slopes and changes only
+        at the functions' own nodes, so each function is read once."""
+        ref = Refinement(model, [n for f in fs for n in f.ref.nodes if n.kind == "e"])
+        first, bend = {}, {}  # edge -> summed first slope; node -> summed slope change
+        for f in fs:
+            for re, s in zip(f.ref.redges, f.slopes):
+                if re.lo == 0:
+                    first[re.base] = first.get(re.base, 0) + s
+                else:
+                    bend[re.ends[0]] = bend.get(re.ends[0], 0) + s - prev
+                prev = s
+        vals = {GraphPoint("v", v): sum((f.values[GraphPoint("v", v)] for f in fs), Fraction(0))
+                for v in model.vertices}
+        for re in ref.redges:
+            slope = first.get(re.base, 0) if re.lo == 0 else slope + bend.get(re.ends[0], 0)
+            if re.ends[1].kind == "e":
+                vals[re.ends[1]] = vals[re.ends[0]] + slope * re.length
         return PLFunction(ref, vals)
 
     def __repr__(self):

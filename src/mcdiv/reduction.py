@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .complexes import ComplexDivisor, ComplexRationalFunction, MetrizedComplex
+from .complexes import _add_chips, _marked_point_of_redge
 from .curves import P1Oracle
 from .errors import BudgetError, InputError, McdivError
 from .metric import GraphDivisor, GraphPoint, PLFunction, Refinement
@@ -60,16 +61,6 @@ class Cut:
 class BurnResult:
     all_burnt: bool
     cut: Cut | None = None
-
-
-def _marked_point_of_redge(cx, v, redge):
-    """Marked point of C_v for the base-edge end a refined segment meets."""
-    base = cx.model.edges[redge.base]
-    if redge.lo == 0 and redge.ends[0] == cx.model.vertex_point(v):
-        return cx.marks[v][(base.name, 0)]
-    if redge.hi == base.length and redge.ends[1] == cx.model.vertex_point(v):
-        return cx.marks[v][(base.name, 1)]
-    raise InputError("segment does not meet the vertex at a base-edge end")
 
 
 def _blocking(cx, d, x, segs):
@@ -146,17 +137,6 @@ def check_saturated(cx, d, cut: Cut) -> bool:
     return all(_withstands(_blocking(cx, d, x, segs)) for x, segs in cut.fronts().items())
 
 
-def _add_chips(cx, graph, curves, x, re, c):
-    """Add c chips at the node x of the refined segment re: on the marked
-    point re meets at an oracle vertex, on the graph elsewhere."""
-    if x.kind == "v" and cx.is_oracle_vertex(x.where):
-        o = cx.oracles[x.where]
-        mp = _marked_point_of_redge(cx, x.where, re)
-        curves[x.where] = curves.get(x.where, o.zero_divisor()) + o.divisor((mp, c))
-    else:
-        graph[x] = graph.get(x, 0) + c
-
-
 def fire_cut(cx, d: ComplexDivisor, cut: Cut, debt_mode=False, want_witness=True):
     """Fire the region: one unit of slope on every outgoing segment, with
     the largest event-driven step eps.
@@ -219,35 +199,22 @@ def fire_cut(cx, d: ComplexDivisor, cut: Cut, debt_mode=False, want_witness=True
     return d_new, eps, ComplexRationalFunction(cx, f, shifts)
 
 
-class ReductionWitness:
-    """Accumulated proof of linear equivalence: a piecewise-linear graph
-    part and one principal divisor per oracle vertex."""
-
-    def __init__(self, cx: MetrizedComplex):
-        self.cx = cx
-        self.f_gamma = PLFunction.constant(cx.model)
-        self.shifts = {}
-
-    def absorb(self, inc: ComplexRationalFunction):
-        self.f_gamma = self.f_gamma + inc.f_gamma
+def _witness(cx, incs) -> ComplexRationalFunction:
+    """The sum of the firing increments: one PL function on their common
+    refinement and, per oracle vertex, the summed curve shift (an explicit
+    function on a projective line)."""
+    f = PLFunction.sum(cx.model, [inc.f_gamma for inc in incs])
+    shifts = {}
+    for inc in incs:
         for v in inc.witnesses:
             sh = inc.curve_divisor_shift(v)
-            self.shifts[v] = self.shifts.get(v, self.cx.oracles[v].zero_divisor()) + sh
-
-    def as_function(self) -> ComplexRationalFunction:
-        wits = {}
-        for v, sh in self.shifts.items():
-            if not sh.coeffs:
-                continue
-            o = self.cx.oracles[v]
-            if isinstance(o, P1Oracle):
-                wits[v] = o.principal_witness(sh)
-            else:
-                wits[v] = sh
-        return ComplexRationalFunction(self.cx, self.f_gamma, wits)
-
-    def divisor(self) -> ComplexDivisor:
-        return self.as_function().divisor()
+            shifts[v] = shifts[v] + sh if v in shifts else sh
+    wits = {}
+    for v, sh in shifts.items():
+        if sh.coeffs:
+            o = cx.oracles[v]
+            wits[v] = o.principal_witness(sh) if isinstance(o, P1Oracle) else sh
+    return ComplexRationalFunction(cx, f, wits)
 
 
 def clear_debt(cx, d: ComplexDivisor, v0: GraphPoint, cap=DEFAULT_EVENT_CAP,
@@ -258,9 +225,12 @@ def clear_debt(cx, d: ComplexDivisor, v0: GraphPoint, cap=DEFAULT_EVENT_CAP,
     Repeatedly fires the maximal region containing v0 and avoiding the
     worst debtor, pushing chips toward it; v0 is the only point allowed to
     go arbitrarily negative.
+
+    Returns (divisor, increments): the list of the fire_cut witness
+    increments, in firing order, or None without want_witness.
     """
     start = d
-    wit = ReductionWitness(cx) if want_witness else None
+    incs = [] if want_witness else None
     steps = 0
     while True:
         debtors = []
@@ -276,7 +246,7 @@ def clear_debt(cx, d: ComplexDivisor, v0: GraphPoint, cap=DEFAULT_EVENT_CAP,
                 need = max(cx.oracles[v].genus - part.degree(), 1)
                 debtors.append((need, repr(vp), vp))
         if not debtors:
-            return d, wit
+            return d, incs
         debtors.sort(reverse=True)
         z = debtors[0][2]
         extra = [p for p in d.graph.support() if p.kind == "e"]
@@ -298,9 +268,9 @@ def clear_debt(cx, d: ComplexDivisor, v0: GraphPoint, cap=DEFAULT_EVENT_CAP,
                     stack.append(y)
         d, _eps, inc = fire_cut(cx, d, Cut(ref, nodes), debt_mode=True,
                                 want_witness=want_witness)
-        if wit is not None:
-            wit.absorb(inc)
-            if check_each_step and not (start + wit.divisor() == d):
+        if incs is not None:
+            incs.append(inc)
+            if check_each_step and not (start + _witness(cx, incs).divisor() == d):
                 raise McdivError("internal error: witness identity failed in debt step")
         steps += 1
         if steps > cap:
@@ -313,17 +283,20 @@ def reduce_divisor(cx, d: ComplexDivisor, v0: GraphPoint, cap=DEFAULT_EVENT_CAP,
 
     The result is effective away from v0, every other curve part has
     non-negative rank, and the burning pass consumes the whole graph.
-    With want_witness=False the witness is not accumulated (faster inner
-    loops) and None is returned in its place; check_each_step re-verifies
-    the witness identity after every firing event.
+    Returns (reduced divisor, witness): the witness is one
+    ComplexRationalFunction f with d + div f equal to the result, summed
+    once from the firing increments at the end.  With want_witness=False
+    no increment is built and None is returned in its place;
+    check_each_step re-verifies the identity for the increments so far
+    after every firing event.
     """
     if v0.kind == "v" and v0.where not in cx.model.vertices:
         raise InputError(f"unknown base vertex {v0}")
     start = d
-    d, wit = clear_debt(cx, d, v0, cap, want_witness=want_witness,
-                        check_each_step=check_each_step)
-    if wit is not None and check_each_step:
-        if not (start + wit.divisor() == d):
+    d, incs = clear_debt(cx, d, v0, cap, want_witness=want_witness,
+                         check_each_step=check_each_step)
+    if incs is not None and check_each_step:
+        if not (start + _witness(cx, incs).divisor() == d):
             raise McdivError("internal error: witness identity failed after debt")
     steps = 0
     while True:
@@ -331,13 +304,16 @@ def reduce_divisor(cx, d: ComplexDivisor, v0: GraphPoint, cap=DEFAULT_EVENT_CAP,
         if res.all_burnt:
             break
         d, _eps, inc = fire_cut(cx, d, res.cut, want_witness=want_witness)
-        if wit is not None:
-            wit.absorb(inc)
-            if check_each_step and not (start + wit.divisor() == d):
+        if incs is not None:
+            incs.append(inc)
+            if check_each_step and not (start + _witness(cx, incs).divisor() == d):
                 raise McdivError("internal error: witness identity failed mid-run")
         steps += 1
         if steps > cap:
             raise BudgetError(f"reduction exceeded {cap} events")
-    if wit is not None and check_witness and not (start + wit.divisor() == d):
+    if incs is None:
+        return d, None
+    wit = _witness(cx, incs)
+    if check_witness and not (start + wit.divisor() == d):
         raise McdivError("internal error: witness identity failed")
     return d, wit

@@ -103,6 +103,19 @@ LIMIT_DOC = {
 }
 
 
+THETA_JSON = Path(__file__).resolve().parents[1] / "scripts" / "theta.json"
+
+# (divisor, base, reduced divisor, witness breakpoints, witness curve shifts)
+REDUCE_REPORTS = [
+    ("D1", "u", '{"curves": {}, "graph": [[{"edge": "e1", "offset": "1/2"}, 1]]}', 2, 0),
+    ("D2", "v", '{"curves": {"u": [[{"x": "0"}, 1]], "v": [[{"x": "0"}, 1]]}, "graph": []}', 3, 0),
+    ("D2", "e2:1/3", '{"curves": {}, "graph": [[{"edge": "e2", "offset": "1/3"}, 1], '
+                     '[{"edge": "e2", "offset": "2/3"}, 1]]}', 5, 2),
+    ("K", "e2:1/3", '{"curves": {}, "graph": [[{"edge": "e2", "offset": "1/3"}, 1], '
+                    '[{"edge": "e2", "offset": "2/3"}, 1]]}', 4, 2),
+]
+
+
 @pytest.fixture
 def theta_file(tmp_path):
     f = tmp_path / "theta.json"
@@ -172,10 +185,16 @@ class TestCommands:
         assert main(["clifford-check", theta_file, "--divisor", "K"]) == 0
         assert "bound: ok" in capsys.readouterr().out
 
-    def test_reduce(self, theta_file, capsys):
-        assert main(["reduce", theta_file, "--divisor", "D1", "--base", "u"]) == 0
-        out = capsys.readouterr().out
-        assert "identity: ok" in out
+    def test_reduce(self, capsys):
+        # the full report on scripts/theta.json for each row
+        for divisor, base, reduced, breakpoints, shifts in REDUCE_REPORTS:
+            assert main(["reduce", str(THETA_JSON), "--divisor", divisor, "--base", base]) == 0
+            assert capsys.readouterr().out == (
+                f"reduced: {reduced}\n"
+                f"witness-breakpoints: {breakpoints}\n"
+                f"witness-curve-shifts: {shifts}\n"
+                "identity: ok\n"
+            ), (divisor, base)
 
     def test_canonical(self, theta_file, capsys):
         assert main(["canonical", theta_file]) == 0
@@ -247,8 +266,6 @@ class TestCommands:
         assert base == threaded
 
 
-THETA_JSON = Path(__file__).resolve().parents[1] / "scripts" / "theta.json"
-
 # mutations of scripts/theta.json that used to end in a traceback, with the
 # document path the error message must start with
 MALFORMED = {
@@ -268,6 +285,16 @@ MALFORMED = {
     "field-not-prime": (lambda d: d["complex"]["vertices"][0]["oracle"].update(field=4),
                         "complex.vertices[0].oracle.field"),
     "glue-not-object": (lambda d: d.update(glue=[]), "glue"),
+    # floats and booleans are refused, not truncated to integers
+    "graph-coeff-float": (lambda d: d["divisors"]["D1"]["graph"][0].__setitem__(1, 1.5),
+                          "divisors.D1.graph[0]"),
+    "weight-float": (lambda d: d["weighted_graphs"]["W"]["weights"].update(a=1.9),
+                     "weighted_graphs.W.weights.a"),
+    "basis-coeff-float": (
+        lambda d: d.update(function_spaces={"S": {"vertex": "u", "basis": [{"num": [0.1]}]}}),
+        "function_spaces.S.basis[0].num[0]"),
+    "edge-length-bool": (lambda d: d["complex"]["edges"][0].update(length=True),
+                         "complex.edges[0].length"),
 }
 
 JSON_VALUES = st.recursive(

@@ -113,6 +113,8 @@ class TestDivOf:
             cx = random_complex(rng)
             w = random_witness(rng, cx)
             assert w.divisor().degree() == 0
+            # curve shifts are principal: the graph view is div f_gamma
+            assert w.divisor().gamma_part() == w.f_gamma.divisor()
 
 
 class TestMoves:

@@ -143,18 +143,35 @@ class TestPLFunctions:
     def test_addition_and_degree_zero(self):
         g = theta_model()
         rng = random.Random(5)
-        fs = []
-        for k in range(2):
+
+        def depth(k, ell, x):
+            # two tents of slope k + 1 down to the middle of the edge, then a
+            # trough of slope 1 down to a flat middle half
+            return -(k + 1) * min(x, ell - x) if k < 2 else -min(x, ell / 4, ell - x)
+
+        fs, names = [], []
+        for k in range(3):
             name = rng.choice(sorted(g.edges))
-            e = g.edges[name]
-            apex = g.point_on(name, e.length / 2)
-            ref = g.refinement([apex])
+            names.append(name)
+            ell = g.edges[name].length
+            offs = [ell / 2] if k < 2 else [ell / 4, 3 * ell / 4]
+            ref = g.refinement([g.point_on(name, x) for x in offs])
             vals = {n: Fraction(0) for n in ref.nodes}
-            vals[apex] = -e.length / 2 * (k + 1)
+            for x in offs:
+                vals[g.point_on(name, x)] = depth(k, ell, x)
             fs.append(PLFunction(ref, vals))
         total = fs[0] + fs[1]
         assert total.divisor() == fs[0].divisor() + fs[1].divisor()
         assert total.divisor().degree() == 0
+        # one sum on the common refinement equals the left fold of +
+        folded = fs[0] + fs[1] + fs[2]
+        summed = PLFunction.sum(g, fs)
+        assert summed.ref.nodes == folded.ref.nodes
+        assert summed.values == folded.values
+        assert summed.divisor() == folded.divisor()
+        for n, v in summed.values.items():
+            assert v == sum(depth(k, g.edges[name].length, n.offset)
+                            for k, name in enumerate(names) if n.where == name)
 
 
 class TestOrientations:
