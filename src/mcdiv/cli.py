@@ -100,7 +100,7 @@ def cmd_reduce(doc, args):
     if args.base is None:
         raise InputError("missing --base POINT")
     v0 = _parse_base(doc.complex, args.base)
-    cap = args.budget or reduction.DEFAULT_EVENT_CAP
+    cap = reduction.DEFAULT_EVENT_CAP if args.budget is None else args.budget
     red, wit = reduction.reduce_divisor(doc.complex, d, v0, cap=cap)
     _emit(
         args,
@@ -239,7 +239,7 @@ def cmd_moderator_audit(doc, args):
     cx = doc.complex
     count = 0
     bad = []
-    budget = args.budget or 64
+    budget = 64 if args.budget is None else args.budget
     for mod in moderator_sample(cx, per_vertex_cap=3):
         m = mod.divisor()
         if rank_of(cx, m, seed=args.seed) != -1:
@@ -264,7 +264,7 @@ def cmd_bn_search(doc, args):
         raise InputError("missing --d and --r")
     g = doc.complex.genus()
     rho = decomposition.brill_noether_number(g, args.r, args.d)
-    budget = args.budget or 2000
+    budget = 2000 if args.budget is None else args.budget
     witness, tried = decomposition.bn_search(
         doc.complex, args.d, args.r, budget=budget, seed=args.seed
     )
@@ -330,6 +330,8 @@ def build_parser():
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if args.budget is not None and args.budget < 1:
+            raise InputError(f"--budget: must be at least 1, got {args.budget}")
         doc = _load(args.file)
         if args.seed is None:
             args.seed = doc.seed

@@ -46,7 +46,7 @@ class MetrizedComplex:
         for v, p in self.lift_points.items():
             self.oracles[v].validate_point(p)
         # memo tables of the rank engine; they only ever gain entries
-        self.nonneg_memo = {}  # (divisor key, base point) -> bool
+        self.nonneg_memo = {}  # (rest key, base point) -> what reduction leaves there
         self.shortcut_validated = False
 
     # -- structure queries ------------------------------------------------

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from .complexes import ComplexDivisor, MetrizedComplex
 from .curves import AuditReport
 from .errors import FieldTooSmallError, InputError, McdivError
-from .metric import AcyclicOrientation, GraphPoint, enumerate_acyclic_orientations
+from .metric import AcyclicOrientation, GraphDivisor, GraphPoint, enumerate_acyclic_orientations
 from .reduction import reduce_divisor
 
 
@@ -92,9 +92,11 @@ def site_divisor(cx, multiset) -> ComplexDivisor:
 def nonneg_rank(cx, d: ComplexDivisor, v0=None) -> bool:
     """True iff d is linearly equivalent to an effective divisor.
 
-    Reduction at a fixed base point; the reduced divisor is equivalent to
-    an effective one iff its coefficient at the base point (and, at an
-    oracle base vertex, the rank of the curve part there) is non-negative.
+    Being v0-reduced does not depend on the part B of d at v0, so only the
+    rest of d is reduced, and what that leaves at v0 is memoized per rest:
+    one reduction answers every divisor that differs from d only at v0.  d
+    is equivalent to an effective divisor iff leftover + B is non-negative
+    (at an oracle base vertex: has non-negative rank).
     """
     if d.degree() < 0:
         return False
@@ -102,17 +104,20 @@ def nonneg_rank(cx, d: ComplexDivisor, v0=None) -> bool:
         return True
     if v0 is None:
         v0 = default_base_point(cx)
-    cache = cx.nonneg_memo
-    key = (d.key(), repr(v0))
-    if key in cache:
-        return cache[key]
-    red, _ = reduce_divisor(cx, d, v0, want_witness=False)
-    if v0.kind == "v" and cx.is_oracle_vertex(v0.where):
-        ok = cx.oracles[v0.where].curve_rank(red.curve_part(v0.where)) >= 0
+    o = cx.oracles.get(v0.where) if v0.kind == "v" else None
+    if o is None:
+        base = d.graph.get(v0)
+        rest = ComplexDivisor(cx, GraphDivisor({**d.graph.coeffs, v0: 0}), d.curves)
     else:
-        ok = red.graph.get(v0) >= 0
-    cache[key] = ok
-    return ok
+        base = d.curve_part(v0.where)
+        rest = ComplexDivisor(cx, d.graph, {**d.curves, v0.where: o.zero_divisor()})
+    key = (rest.key(), repr(v0))
+    left = cx.nonneg_memo.get(key)
+    if left is None:
+        red, _ = reduce_divisor(cx, rest, v0, want_witness=False)
+        # only the leftover: a ComplexDivisor would point back to cx
+        left = cx.nonneg_memo[key] = red.graph.get(v0) if o is None else red.curve_part(v0.where)
+    return left + base >= 0 if o is None else o.curve_rank(left + base) >= 0
 
 
 def _largest_k(tests, passes, top) -> int:
@@ -152,10 +157,12 @@ def _validate_shortcut(cx, sites):
 
 
 def _rank_enumerated(cx, d, sites) -> int:
-    # k = 0 tests d itself, so no empty test divisor is built
-    return _largest_k(
-        sites, lambda e: nonneg_rank(cx, d - site_divisor(cx, e) if e else d), d.degree()
-    )
+    # k = 0 tests d itself, so no empty test divisor is built.  A multiset
+    # is tested at the vertex of its last site: sites are grouped by vertex,
+    # so multisets that differ only in their last chips share one reduction
+    return _largest_k(sites, lambda e: nonneg_rank(
+        cx, d - site_divisor(cx, e), cx.model.vertex_point(e[-1].vertex)
+    ) if e else nonneg_rank(cx, d), d.degree())
 
 
 def rank(cx, d: ComplexDivisor, sites=None, seed=0, audit=False) -> int:
@@ -177,20 +184,9 @@ def rank(cx, d: ComplexDivisor, sites=None, seed=0, audit=False) -> int:
 
 
 def linear_equiv(cx, d1: ComplexDivisor, d2: ComplexDivisor, v0=None) -> bool:
-    """Equality of reduced representatives: same graph parts and the same
-    curve-divisor class at every oracle vertex."""
-    if d1.degree() != d2.degree():
-        return False
-    if v0 is None:
-        v0 = default_base_point(cx)
-    r1, _ = reduce_divisor(cx, d1, v0, want_witness=False)
-    r2, _ = reduce_divisor(cx, d2, v0, want_witness=False)
-    if r1.gamma_part() != r2.gamma_part():
-        return False
-    for v in cx.oracle_vertices():
-        if not cx.oracles[v].classes_equal(r1.curve_part(v), r2.curve_part(v)):
-            return False
-    return True
+    """d1 - d2 has degree 0 and is equivalent to an effective divisor,
+    which in degree 0 can only be the zero divisor."""
+    return d1.degree() == d2.degree() and nonneg_rank(cx, d1 - d2, v0)
 
 
 # -- audits ------------------------------------------------------------------

@@ -218,6 +218,17 @@ class TestCommands:
         assert main(["bn-search", theta_file, "--d", "2", "--r", "1"]) == 0
         assert "found: yes" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("budget", ["0", "-3"])
+    @pytest.mark.parametrize("command", [
+        ["reduce", "--divisor", "D2", "--base", "u"],
+        ["moderator-audit"],
+        ["bn-search", "--d", "2", "--r", "1"],
+    ], ids=lambda command: command[0])
+    def test_budget_below_one_exits_2(self, command, budget, capsys):
+        argv = [command[0], str(THETA_JSON), *command[1:], "--budget", budget]
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith("input error: --budget")
+
     def test_weierstrass(self, theta_file, capsys):
         assert main(["weierstrass", theta_file, "--point", "e1:1/2"]) == 0
         assert "weierstrass: yes" in capsys.readouterr().out

@@ -1,7 +1,10 @@
 """Rank computations and the certified identities around them."""
 
+import gc
 import itertools
+import weakref
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -11,6 +14,7 @@ from mcdiv.curves import EllipticOracle, O_POINT, P1Oracle
 from mcdiv.decomposition import WeightedGraph, graph_rank, weighted_rank
 from mcdiv.errors import InputError
 from mcdiv.exact import INF, Poly, PrimeField, QQ, RationalFunc
+from mcdiv.io import parse_document
 from mcdiv.limitseries import FunctionSpace, restricted_rank, vanishing_sequence
 from mcdiv.metric import GraphDivisor, GraphModel, enumerate_acyclic_orientations
 from mcdiv.rank import (
@@ -40,6 +44,9 @@ from conftest import (
     star_elliptic_complex,
     theta_model,
 )
+
+
+THETA_JSON = Path(__file__).resolve().parents[1] / "scripts" / "theta.json"
 
 
 @pytest.fixture(scope="module")
@@ -406,6 +413,23 @@ class TestNoHiddenState:
         assert nonneg_rank(cx, k - chip)
         assert cx.nonneg_memo and cx.shortcut_validated
         assert set(vars(cx)) == before
+
+    def test_rank_memo_keeps_no_reference_cycle(self):
+        # the memo holds keys and leftovers, never a ComplexDivisor, which
+        # points back to its complex: with the cycle collector off, the
+        # complex must die with its last outside reference
+        doc = parse_document(THETA_JSON.read_text())
+        cx, k = doc.complex, doc.divisors["K"]
+        gc.disable()
+        try:
+            assert rank(cx, k) == 1 and rank(cx, k + k) == 2
+            assert nonneg_rank(cx, k - doc.divisors["D2"], cx.model.vertex_point("v"))
+            assert cx.nonneg_memo
+            ref = weakref.ref(cx)
+            del doc, cx, k
+            assert ref() is None
+        finally:
+            gc.enable()
 
     def test_subspace_meets_keeps_space_attributes(self):
         o = P1Oracle(QQ)
