@@ -20,7 +20,7 @@ from .rank import (
     rr_audit,
 )
 from .errors import AuditError, BudgetError, InputError, McdivError
-from .io import divisor_json, parse_document, parse_rational
+from .io import _at, divisor_json, parse_document, parse_rational
 
 
 def _load(path):
@@ -31,12 +31,13 @@ def _load(path):
         raise InputError(f"cannot read {path}: {err}") from None
 
 
-def _parse_base(cx, spec):
-    """Base point syntax: 'vertex' or 'edge:offset'."""
-    if ":" in spec:
-        name, off = spec.rsplit(":", 1)
-        return cx.model.point_on(name, parse_rational(off, "--base"))
-    return cx.model.vertex_point(spec)
+def _parse_base(cx, spec, flag):
+    """Point syntax: 'vertex' or 'edge:offset'.  Errors name the flag."""
+    with _at(flag):
+        if ":" in spec:
+            name, off = spec.rsplit(":", 1)
+            return cx.model.point_on(name, parse_rational(off, flag))
+        return cx.model.vertex_point(spec)
 
 
 def _parse_point(cx, spec):
@@ -44,7 +45,7 @@ def _parse_point(cx, spec):
     if "@" in spec:
         vname, raw = spec.split("@", 1)
         if not cx.is_oracle_vertex(vname):
-            raise InputError(f"{vname} carries no curve")
+            raise InputError(f"--point: {vname} carries no curve")
         from .io import parse_curve_point
 
         try:
@@ -52,7 +53,7 @@ def _parse_point(cx, spec):
         except json.JSONDecodeError as err:
             raise InputError(f"--point: not valid JSON after '@': {err}") from None
         return (vname, parse_curve_point(cx.oracles[vname], obj, "--point"))
-    return _parse_base(cx, spec)
+    return _parse_base(cx, spec, "--point")
 
 
 def _need_divisor(doc, args):
@@ -99,7 +100,7 @@ def cmd_reduce(doc, args):
     d = _need_divisor(doc, args)
     if args.base is None:
         raise InputError("missing --base POINT")
-    v0 = _parse_base(doc.complex, args.base)
+    v0 = _parse_base(doc.complex, args.base, "--base")
     cap = reduction.DEFAULT_EVENT_CAP if args.budget is None else args.budget
     red, wit = reduction.reduce_divisor(doc.complex, d, v0, cap=cap)
     _emit(
@@ -188,12 +189,7 @@ def cmd_glue_rank(doc, args):
     x2 = attach(doc.complex2, doc.glue_spec.get("x2", {}), "glue.x2")
     length = parse_rational(doc.glue_spec.get("length", 1), "glue.length")
     d1 = _need_divisor(doc, args)
-    d2name = args.divisor2 or "0"
-    if d2name == "0":
-        d2 = doc.complex2.zero_divisor()
-    else:
-        raise InputError("second divisor must live in the first document "
-                         "(use divisor2 '0' or extend the document)")
+    d2 = doc.complex2.zero_divisor()
     formula = decomposition.connected_sum_rank(
         doc.complex, d1, x1, doc.complex2, d2, x2, seed=args.seed
     )
@@ -312,7 +308,6 @@ def build_parser():
     p.add_argument("command", choices=sorted(COMMANDS))
     p.add_argument("file", help="JSON document")
     p.add_argument("--divisor", help="named divisor in the document")
-    p.add_argument("--divisor2", help="second divisor name (glue-rank)")
     p.add_argument("--base", help="base point: VERTEX or EDGE:OFFSET")
     p.add_argument("--point", help="point: VERTEX, EDGE:OFFSET, or VERTEX@{json}")
     p.add_argument("--series", help="named limit series (limit-check)")
@@ -330,8 +325,10 @@ def build_parser():
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if args.budget is not None and args.budget < 1:
-            raise InputError(f"--budget: must be at least 1, got {args.budget}")
+        for flag, least in (("budget", 1), ("d", 0), ("k", 0)):
+            value = getattr(args, flag)
+            if value is not None and value < least:
+                raise InputError(f"--{flag}: must be at least {least}, got {value}")
         doc = _load(args.file)
         if args.seed is None:
             args.seed = doc.seed

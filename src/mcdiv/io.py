@@ -1,5 +1,5 @@
 """Text serialization: one JSON document per file describing a complex,
-named divisors, function spaces, weighted graphs, and limit-series data.
+named divisors, weighted graphs, and limit-series data.
 Rationals travel as "p/q" strings so exactness survives round trips.
 """
 
@@ -198,7 +198,6 @@ class Document:
 
     complex: MetrizedComplex
     divisors: dict = field(default_factory=dict)
-    spaces: dict = field(default_factory=dict)  # name -> (vertex, FunctionSpace)
     weighted: dict = field(default_factory=dict)
     limit_series: dict = field(default_factory=dict)
     complex2: MetrizedComplex | None = None
@@ -339,20 +338,6 @@ def parse_document(text: str) -> Document:
         doc.glue_spec = raw["glue"]
     for name, obj in _section(raw, "divisors"):
         doc.divisors[name] = _parse_divisor(cx, obj, f"divisors.{name}")
-    for name, obj in _section(raw, "function_spaces"):
-        p = f"function_spaces.{name}"
-        with _at(p):
-            v = obj.get("vertex")
-            if not cx.is_oracle_vertex(v):
-                _fail(p, f"vertex {v!r} carries no curve")
-            o = cx.oracles[v]
-            if not isinstance(o, P1Oracle):
-                _fail(p, "function spaces need a projective-line vertex")
-            basis = [
-                parse_ratfunc(o.field, b, f"{p}.basis[{i}]")
-                for i, b in enumerate(obj.get("basis", []))
-            ]
-            doc.spaces[name] = (v, FunctionSpace(o, basis))
     for name, obj in _section(raw, "weighted_graphs"):
         p = f"weighted_graphs.{name}"
         model = _parse_model(obj, p)

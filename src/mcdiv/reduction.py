@@ -27,34 +27,17 @@ DEFAULT_EVENT_CAP = 10**6
 
 @dataclass
 class Cut:
-    """A closed region of the graph, given by its surviving nodes in a
-    refinement."""
+    """A closed region of the graph: its surviving nodes in a refinement
+    and its fronts, each boundary node mapped to the refined segments that
+    leave the region there.  The builder of a cut records the fronts as it
+    finds the region."""
 
     refinement: Refinement
     nodes: set  # surviving GraphPoints
-
-    def outgoing(self):
-        """Segments leaving the region: (redge index, end holding the
-        boundary node)."""
-        out = []
-        for i, re in enumerate(self.refinement.redges):
-            a, b = re.ends
-            if a in self.nodes and b not in self.nodes:
-                out.append((i, 0))
-            elif b in self.nodes and a not in self.nodes:
-                out.append((i, 1))
-        return out
-
-    def fronts(self):
-        """Boundary node -> the outgoing refined segments it holds."""
-        out = {}
-        for i, end in self.outgoing():
-            re = self.refinement.redges[i]
-            out.setdefault(re.ends[end], []).append(re)
-        return out
+    fronts: dict  # boundary GraphPoint -> [REdge] leaving the region there
 
     def boundary(self):
-        return {x: len(segs) for x, segs in self.fronts().items()}
+        return {x: len(segs) for x, segs in self.fronts.items()}
 
 
 @dataclass
@@ -86,15 +69,20 @@ def _withstands(blocking):
     return n >= 0 if kind == "curve" else n <= have
 
 
-def _check_normalized(cx, d, v0):
-    for p, c in d.graph.coeffs.items():
-        if c < 0 and p != v0:
-            raise InputError(f"unnormalized input: negative coefficient at {p}")
+def _debts(cx, d, v0):
+    """What keeps d from being normalized away from v0: (need, repr, point)
+    for every negative coefficient and every oracle vertex whose part has
+    negative rank, need being the chips it lacks (at least 1)."""
+    debts = [(-c, repr(p), p) for p, c in d.graph.coeffs.items() if c < 0 and p != v0]
     for v in cx.oracle_vertices():
-        if cx.model.vertex_point(v) == v0:
+        vp = cx.model.vertex_point(v)
+        if vp == v0:
             continue
-        if cx.oracles[v].curve_rank(d.curve_part(v)) < 0:
-            raise InputError(f"unnormalized input: negative rank part at {v}")
+        o = cx.oracles[v]
+        part = d.curve_part(v)
+        if o.curve_rank(part) < 0:
+            debts.append((max(o.genus - part.degree(), 1), repr(vp), vp))
+    return debts
 
 
 def burn(cx: MetrizedComplex, d: ComplexDivisor, v0: GraphPoint) -> BurnResult:
@@ -103,17 +91,17 @@ def burn(cx: MetrizedComplex, d: ComplexDivisor, v0: GraphPoint) -> BurnResult:
     Returns all-burnt (the divisor is v0-reduced) or the surviving region,
     which is the maximal saturated cut avoiding v0.  A node is re-examined
     only when fire reaches it along one more segment (Dhar's worklist), so
-    the pass touches each segment once.
+    the pass touches each segment once.  The segments along which the fire
+    reached a surviving node are the fronts of the cut at that node.
     """
-    _check_normalized(cx, d, v0)
-    extra = [p for p in d.graph.support() if p.kind == "e"]
-    if v0.kind == "e":
-        extra.append(v0)
-    ref = cx.model.refinement(extra)
+    debts = _debts(cx, d, v0)
+    if debts:
+        raise InputError(f"unnormalized input: debt at {max(debts)[2]}")
+    ref = cx.model.refinement([*d.graph.coeffs, v0])
     if v0 not in ref.adj:
         raise InputError(f"{v0} is not a point of the graph")
     burnt = {v0}
-    reached = {}  # unburnt node -> segments the fire reached it along
+    reached = {}  # node -> segments the fire reached it along
     todo = [v0]
     while todo:
         x = todo.pop()
@@ -129,21 +117,23 @@ def burn(cx: MetrizedComplex, d: ComplexDivisor, v0: GraphPoint) -> BurnResult:
                 todo.append(y)
     if len(burnt) == len(ref.nodes):
         return BurnResult(True)
-    return BurnResult(False, Cut(ref, {x for x in ref.nodes if x not in burnt}))
+    nodes = {x for x in ref.nodes if x not in burnt}
+    fronts = {y: segs for y, segs in reached.items() if y not in burnt}
+    return BurnResult(False, Cut(ref, nodes, fronts))
 
 
 def check_saturated(cx, d, cut: Cut) -> bool:
     """Every boundary point absorbs its outgoing firing."""
-    return all(_withstands(_blocking(cx, d, x, segs)) for x, segs in cut.fronts().items())
+    return all(_withstands(_blocking(cx, d, x, segs)) for x, segs in cut.fronts.items())
 
 
 def fire_cut(cx, d: ComplexDivisor, cut: Cut, debt_mode=False, want_witness=True):
-    """Fire the region: one unit of slope on every outgoing segment, with
-    the largest event-driven step eps.
+    """Fire the region: one unit of slope on every segment of its fronts,
+    with the largest event-driven step eps, the shortest such segment.
 
-    Each outgoing segment moves one chip from its boundary node to the
-    point at distance eps along it; at an oracle vertex the chip leaves or
-    lands on the marked point the segment meets.  Boundary oracle vertices
+    Each front segment has one end in the region and moves one chip from
+    that boundary node to the point at distance eps along it; at an oracle
+    vertex the chip leaves or lands on the marked point the segment meets.  Boundary oracle vertices
     are then renormalized to an effective representative when their part
     has non-negative rank.
 
@@ -153,27 +143,21 @@ def fire_cut(cx, d: ComplexDivisor, cut: Cut, debt_mode=False, want_witness=True
     """
     if not debt_mode and not check_saturated(cx, d, cut):
         raise McdivError("internal error: firing an unsaturated cut")
-    fronts = cut.outgoing()
-    if not fronts:
+    if not cut.fronts:
         raise McdivError("internal error: cut has no outgoing segment")
-    redges = cut.refinement.redges
-    per_redge = {}
-    for i, _end in fronts:
-        per_redge[i] = per_redge.get(i, 0) + 1
-    # a segment fired from both ends meets itself halfway
-    eps = min(redges[i].length / n for i, n in per_redge.items())
+    eps = min(re.length for segs in cut.fronts.values() for re in segs)
     graph = dict(d.graph.coeffs)
     curves = dict(d.curves)
     landings = []
-    for i, end in fronts:
-        re = redges[i]
-        land = cx.model.point_on(re.base, re.lo + eps if end == 0 else re.hi - eps)
-        _add_chips(cx, graph, curves, re.ends[end], re, -1)
-        _add_chips(cx, graph, curves, land, re, 1)
-        landings.append(land)
+    for x, segs in cut.fronts.items():
+        for re in segs:
+            land = cx.model.point_on(re.base, re.lo + eps if re.ends[0] == x else re.hi - eps)
+            _add_chips(cx, graph, curves, x, re, -1)
+            _add_chips(cx, graph, curves, land, re, 1)
+            landings.append(land)
     # renormalize boundary oracle vertices inside their curve-divisor class
     shifts = {}
-    for x in cut.boundary():
+    for x in cut.fronts:
         if not (x.kind == "v" and cx.is_oracle_vertex(x.where)):
             continue
         v = x.where
@@ -223,8 +207,9 @@ def clear_debt(cx, d: ComplexDivisor, v0: GraphPoint, cap=DEFAULT_EVENT_CAP,
     away from v0 and every other oracle part of non-negative rank.
 
     Repeatedly fires the maximal region containing v0 and avoiding the
-    worst debtor, pushing chips toward it; v0 is the only point allowed to
-    go arbitrarily negative.
+    worst debtor z (the largest entry of _debts), pushing chips toward it;
+    the fronts of that region are its segments ending at z.  v0 is the
+    only point allowed to go arbitrarily negative.
 
     Returns (divisor, increments): the list of the fire_cut witness
     increments, in firing order, or None without want_witness.
@@ -233,40 +218,28 @@ def clear_debt(cx, d: ComplexDivisor, v0: GraphPoint, cap=DEFAULT_EVENT_CAP,
     incs = [] if want_witness else None
     steps = 0
     while True:
-        debtors = []
-        for p, c in d.graph.coeffs.items():
-            if c < 0 and p != v0:
-                debtors.append((-c, repr(p), p))
-        for v in cx.oracle_vertices():
-            vp = cx.model.vertex_point(v)
-            if vp == v0:
-                continue
-            part = d.curve_part(v)
-            if cx.oracles[v].curve_rank(part) < 0:
-                need = max(cx.oracles[v].genus - part.degree(), 1)
-                debtors.append((need, repr(vp), vp))
-        if not debtors:
+        debts = _debts(cx, d, v0)
+        if not debts:
             return d, incs
-        debtors.sort(reverse=True)
-        z = debtors[0][2]
-        extra = [p for p in d.graph.support() if p.kind == "e"]
-        for q in (v0, z):
-            if q.kind == "e":
-                extra.append(q)
-        ref = cx.model.refinement(extra)
-        # region: component of v0 after deleting the open star of z
-        nodes = set()
+        z = max(debts)[2]
+        ref = cx.model.refinement([*d.graph.coeffs, v0, z])
+        # region: component of v0 after deleting z; every segment leaving
+        # it ends at z
+        nodes, fronts = set(), {}
         stack = [v0]
         while stack:
             x = stack.pop()
-            if x in nodes or x == z:
+            if x in nodes:
                 continue
             nodes.add(x)
             for i, end in ref.adj[x]:
-                y = ref.redges[i].ends[1 - end]
-                if y != z and y not in nodes:
+                re = ref.redges[i]
+                y = re.ends[1 - end]
+                if y == z:
+                    fronts.setdefault(x, []).append(re)
+                elif y not in nodes:
                     stack.append(y)
-        d, _eps, inc = fire_cut(cx, d, Cut(ref, nodes), debt_mode=True,
+        d, _eps, inc = fire_cut(cx, d, Cut(ref, nodes, fronts), debt_mode=True,
                                 want_witness=want_witness)
         if incs is not None:
             incs.append(inc)

@@ -229,6 +229,28 @@ class TestCommands:
         assert main(argv) == 2
         assert capsys.readouterr().err.startswith("input error: --budget")
 
+    @pytest.mark.parametrize("argv, flag", [
+        (["bn-search", "--d", "-1", "--r", "1"], "--d"),
+        (["eta", "--divisor", "D1", "--point", "e1:1/4", "--k", "-2"], "--k"),
+    ], ids=["d", "k"])
+    def test_negative_count_exits_2(self, argv, flag, capsys):
+        assert main([argv[0], str(THETA_JSON), *argv[1:]]) == 2
+        assert capsys.readouterr().err.startswith(f"input error: {flag}: ")
+
+    @pytest.mark.parametrize("argv, message", [
+        (["eta", "--divisor", "D1", "--point", "e1:abc", "--k", "1"],
+         "--point: not a rational: 'abc'"),
+        (["weierstrass", "--point", "e9:1/2"], "--point: unknown edge e9"),
+        (["weierstrass", "--point", 'w@{"x": "0"}'], "--point: w carries no curve"),
+        (["reduce", "--divisor", "D1", "--base", "e9:1/2"], "--base: unknown edge e9"),
+        (["reduce", "--divisor", "D1", "--base", "e1:1/x"], "--base: not a rational: '1/x'"),
+        (["reduce", "--divisor", "D1", "--base", "w"], "--base: unknown vertex w"),
+    ], ids=["point-rational", "point-edge", "point-curve", "base-edge", "base-rational",
+            "base-vertex"])
+    def test_point_errors_name_their_flag(self, argv, message, capsys):
+        assert main([argv[0], str(THETA_JSON), *argv[1:]]) == 2
+        assert capsys.readouterr().err == f"input error: {message}\n"
+
     def test_weierstrass(self, theta_file, capsys):
         assert main(["weierstrass", theta_file, "--point", "e1:1/2"]) == 0
         assert "weierstrass: yes" in capsys.readouterr().out
@@ -301,9 +323,6 @@ MALFORMED = {
                           "divisors.D1.graph[0]"),
     "weight-float": (lambda d: d["weighted_graphs"]["W"]["weights"].update(a=1.9),
                      "weighted_graphs.W.weights.a"),
-    "basis-coeff-float": (
-        lambda d: d.update(function_spaces={"S": {"vertex": "u", "basis": [{"num": [0.1]}]}}),
-        "function_spaces.S.basis[0].num[0]"),
     "edge-length-bool": (lambda d: d["complex"]["edges"][0].update(length=True),
                          "complex.edges[0].length"),
 }

@@ -85,7 +85,7 @@ class TestBurn:
         assert vb in res.cut.nodes
         # blocking data: the part left after removing the burnt marked
         # point, together with its (non-negative) rank
-        kind, remainder, r = reduction._blocking(cx_, d, vb, res.cut.fronts()[vb])
+        kind, remainder, r = reduction._blocking(cx_, d, vb, res.cut.fronts[vb])
         assert kind == "curve" and r >= 0
         assert remainder == d.curve_part("b") - ell.divisor((O_POINT, 1))
 
@@ -449,6 +449,54 @@ class TestReducedRestAgrees:
         for v0 in _base_points(cx):
             for d2 in (reduced, moved, moved + moved - d, d + _chips_at(cx, v0, 1)):
                 assert linear_equiv(cx, d, d2, v0) == _equiv_by_two_reductions(cx, d, d2, v0)
+
+
+def _scanned_fronts(cut):
+    """The fronts found by scanning every refined segment: those with
+    exactly one end in the region, grouped by that end."""
+    out = {}
+    for re in cut.refinement.redges:
+        inside = [x for x in re.ends if x in cut.nodes]
+        if len(inside) == 1:
+            out.setdefault(inside[0], []).append(re)
+    return out
+
+
+class TestCutFronts:
+    """Every cut that burn returns and every debt cut that clear_debt fires
+    carries the fronts its builder recorded; they must be exactly the
+    segments leaving the region, each with one end in it, at its key."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(small_complexes())
+    def test_recorded_fronts_equal_a_full_scan(self, case):
+        cx, d = case
+        cuts = []
+        burn_, fire_cut_ = reduction.burn, reduction.fire_cut
+
+        def recording_burn(*args, **kwargs):
+            res = burn_(*args, **kwargs)
+            if not res.all_burnt:
+                cuts.append(res.cut)
+            return res
+
+        def recording_fire_cut(cx_, d_, cut, debt_mode=False, **kwargs):
+            if debt_mode:
+                cuts.append(cut)
+            return fire_cut_(cx_, d_, cut, debt_mode=debt_mode, **kwargs)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(reduction, "burn", recording_burn)
+            mp.setattr(reduction, "fire_cut", recording_fire_cut)
+            for v0 in _base_points(cx):
+                reduce_divisor(cx, d, v0, want_witness=False)
+        for cut in cuts:
+            scanned = _scanned_fronts(cut)
+            assert set(cut.fronts) == set(scanned)
+            for x, segs in cut.fronts.items():
+                assert sorted(segs, key=repr) == sorted(scanned[x], key=repr)
+                for re in segs:
+                    assert sum(end in cut.nodes for end in re.ends) == 1
 
 
 THETA_JSON = Path(__file__).resolve().parents[1] / "scripts" / "theta.json"
