@@ -325,7 +325,7 @@ def build_parser():
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        for flag, least in (("budget", 1), ("d", 0), ("k", 0)):
+        for flag, least in (("budget", 1), ("d", 0), ("k", 0), ("r", 0), ("seed", 0)):
             value = getattr(args, flag)
             if value is not None and value < least:
                 raise InputError(f"--{flag}: must be at least {least}, got {value}")

@@ -68,23 +68,15 @@ class MetrizedComplex:
 
     def marked_divisor(self, v) -> CurveDivisor:
         """A_v: the sum of the marked points of the curve at v."""
-        o = self.oracles[v]
-        d = {}
-        for p in self.marks[v].values():
-            d[p] = d.get(p, 0) + 1
-        return CurveDivisor(o, d)
+        return self.oracles[v].divisor(*((p, 1) for p in self.marks[v].values()))
 
     def vertex_twist(self, v, potential) -> CurveDivisor:
         """div_v of an integer vertex potential: slope differences placed
         on the marked points of the curve at v."""
-        o = self.oracles[v]
-        out = o.zero_divisor()
-        for e, end in self.model.incident_edges(v):
-            other = e.v if end == 0 else e.u
-            s = potential[other] - potential[v]
-            if s:
-                out = out + o.divisor((self.marked_point(v, e.name, end), s))
-        return out
+        return self.oracles[v].divisor(*(
+            (self.marked_point(v, e.name, end), potential[e.v if end == 0 else e.u] - potential[v])
+            for e, end in self.model.incident_edges(v)
+        ))
 
     def lift_point(self, v):
         """Deterministic curve point used to lift graph chips onto C_v: the
@@ -99,37 +91,46 @@ class MetrizedComplex:
         g = GraphDivisor.of(*graph_pairs)
         return ComplexDivisor(self, g, curve_parts or {})
 
+    def chips(self, pairs) -> "ComplexDivisor":
+        """The divisor sum of c*(x) over the (x, c) pairs, where each place x
+        is a GraphPoint off the oracle vertices or a (vertex, curve point)
+        pair.  Repeated places add up."""
+        graph, curves = {}, {}
+        for x, c in pairs:
+            if isinstance(x, GraphPoint):
+                graph[x] = graph.get(x, 0) + c
+            else:
+                v, p = x
+                if v not in self.oracles:
+                    raise InputError(f"{v} carries no curve")
+                curves.setdefault(v, []).append((p, c))
+        return ComplexDivisor(
+            self,
+            GraphDivisor(graph),
+            {v: self.oracles[v].divisor(*ps) for v, ps in curves.items()},
+        )
+
     def zero_divisor(self) -> "ComplexDivisor":
         return ComplexDivisor(self, GraphDivisor(), {})
 
     def canonical(self) -> "ComplexDivisor":
         """The canonical divisor: sum over vertices of K_v + A_v, with the
         graphical vertices contributing degree(v) - 2 at the vertex."""
-        graph = {}
-        curves = {}
-        for w in self.graphical_vertices():
-            c = self.model.degree(w) - 2
-            if c:
-                graph[self.model.vertex_point(w)] = c
+        pairs = [(self.model.vertex_point(w), self.model.degree(w) - 2)
+                 for w in self.graphical_vertices()]
         for v in self.oracle_vertices():
-            o = self.oracles[v]
-            curves[v] = o.canonical_divisor() + self.marked_divisor(v)
-        return ComplexDivisor(self, GraphDivisor(graph), curves)
+            k_v = self.oracles[v].canonical_divisor() + self.marked_divisor(v)
+            pairs += [((v, p), c) for p, c in k_v.coeffs.items()]
+        return self.chips(pairs)
 
     def lift_graph_divisor(self, d: GraphDivisor) -> "ComplexDivisor":
         """Lift a metric-graph divisor: oracle-vertex coefficients land on
         the vertex's lift point."""
-        graph = {}
-        curves = {}
-        for p, c in d.coeffs.items():
-            if p.kind == "v" and self.is_oracle_vertex(p.where):
-                v = p.where
-                o = self.oracles[v]
-                cur = curves.get(v, o.zero_divisor())
-                curves[v] = cur + o.divisor((self.lift_point(v), c))
-            else:
-                graph[p] = graph.get(p, 0) + c
-        return ComplexDivisor(self, GraphDivisor(graph), curves)
+        return self.chips(
+            ((p.where, self.lift_point(p.where))
+             if p.kind == "v" and self.is_oracle_vertex(p.where) else p, c)
+            for p, c in d.coeffs.items()
+        )
 
 
 class ComplexDivisor:

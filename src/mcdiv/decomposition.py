@@ -66,10 +66,7 @@ def eta_v(oracle: CurveOracle, d_v, marks, k: int) -> int:
             for combo in itertools.product(range(-bound, bound + 1), repeat=len(marks)):
                 if sum(combo) != target:
                     continue
-                twist = oracle.zero_divisor()
-                for p, c in zip(marks, combo):
-                    if c:
-                        twist = twist + oracle.divisor((p, c))
+                twist = oracle.divisor(*zip(marks, combo))
                 if oracle.curve_rank(d_v + twist) == k:
                     return n
         else:
@@ -369,9 +366,7 @@ def bn_search(cx, d: int, r: int, budget=2000, seed=0):
     grid = bn_grid(cx)
     tried = 0
     for combo in itertools.combinations_with_replacement(range(len(grid)), d):
-        div = cx.zero_divisor()
-        for i in combo:
-            div = div + point_divisor(cx, grid[i], 1)
+        div = cx.chips((grid[i], 1) for i in combo)
         tried += 1
         if rank(cx, div, seed=seed) >= r:
             return div, tried

@@ -9,6 +9,7 @@ import json
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 
 from .complexes import MetrizedComplex
 from .curves import EllipticOracle, O_POINT, P1Oracle, TableOracle
@@ -266,31 +267,29 @@ def _parse_divisor(cx, obj, path):
     if not isinstance(obj, dict):
         _fail(path, "divisor wants an object with 'graph' and/or 'curves'")
     with _at(path):
-        graph = []
-        for i, pair in enumerate(obj.get("graph", [])):
-            p = f"{path}.graph[{i}]"
-            with _at(p):
-                pt_obj, coeff = pair
-                graph.append((parse_graph_point(cx.model, pt_obj, p), _int(coeff, p)))
-        curves = {}
+        chips = _parse_chips(obj.get("graph", []), partial(parse_graph_point, cx.model),
+                             f"{path}.graph")
         for v, pairs in obj.get("curves", {}).items():
             p = f"{path}.curves.{v}"
             if not cx.is_oracle_vertex(v):
                 _fail(p, f"vertex {v} carries no curve")
-            curves[v] = _parse_curve_divisor(cx.oracles[v], pairs, p)
-        return cx.divisor(graph_pairs=graph, curve_parts=curves)
+            chips += [((v, q), c)
+                      for q, c in _parse_chips(pairs, partial(parse_curve_point, cx.oracles[v]), p)]
+        return cx.chips(chips)
 
 
-def _parse_curve_divisor(o, pairs, path):
-    """A curve divisor given as a list of [point, coefficient] pairs."""
+def _parse_chips(pairs, parse_point, path):
+    """A list of [point, coefficient] pairs, each parsed under its own
+    path, as (point, coefficient) pairs."""
     if not isinstance(pairs, list):
-        _fail(path, "curve divisor wants a list of [point, coefficient] pairs")
-    d = o.zero_divisor()
+        _fail(path, "wants a list of [point, coefficient] pairs")
+    chips = []
     for i, pair in enumerate(pairs):
-        with _at(f"{path}[{i}]"):
-            pt = parse_curve_point(o, pair[0], f"{path}[{i}]")
-            d = d + o.divisor((pt, _int(pair[1], f"{path}[{i}]")))
-    return d
+        p = f"{path}[{i}]"
+        with _at(p):
+            pt, c = pair
+            chips.append((parse_point(pt, p), _int(c, p)))
+    return chips
 
 
 def divisor_json(cx, d):
@@ -329,6 +328,8 @@ def parse_document(text: str) -> Document:
         _fail("document", "missing 'complex'")
     cx = _parse_complex(raw["complex"], "complex")
     seed = _int(raw.get("seed", 0), "seed")
+    if seed < 0:
+        _fail("seed", f"must be at least 0, got {seed}")
     doc = Document(complex=cx, seed=seed, raw=raw)
     if "complex2" in raw:
         doc.complex2 = _parse_complex(raw["complex2"], "complex2")
@@ -343,15 +344,11 @@ def parse_document(text: str) -> Document:
         model = _parse_model(obj, p)
         with _at(p):
             weights = {v: _int(w, f"{p}.weights.{v}") for v, w in obj.get("weights", {}).items()}
-            divisors = {}
-            for dn, pairs in obj.get("divisors", {}).items():
-                dd = {}
-                for i, pair in enumerate(pairs):
-                    pp = f"{p}.divisors.{dn}[{i}]"
-                    with _at(pp):
-                        pt = parse_graph_point(model, pair[0], pp)
-                        dd[pt] = dd.get(pt, 0) + _int(pair[1], pp)
-                divisors[dn] = GraphDivisor(dd)
+            divisors = {
+                dn: GraphDivisor.of(*_parse_chips(pairs, partial(parse_graph_point, model),
+                                                  f"{p}.divisors.{dn}"))
+                for dn, pairs in obj.get("divisors", {}).items()
+            }
             doc.weighted[name] = (WeightedGraph(model, weights), divisors)
     for name, obj in _section(raw, "limit_series"):
         p = f"limit_series.{name}"
@@ -380,7 +377,8 @@ def _parse_limit_series(cx, obj, p):
                     seqs[pt] = tuple(_int(x, f"{pa}.table[{i}]") for x in row[1])
                 aspects[v] = VanishingTable(seqs)
                 continue
-            div = _parse_curve_divisor(o, a.get("divisor", []), f"{pa}.divisor")
+            div = o.divisor(*_parse_chips(a.get("divisor", []), partial(parse_curve_point, o),
+                                          f"{pa}.divisor"))
             basis = [
                 parse_ratfunc(o.field, b, f"{pa}.basis[{i}]")
                 for i, b in enumerate(a.get("basis", []))

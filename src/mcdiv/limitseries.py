@@ -14,7 +14,7 @@ from .complexes import ComplexDivisor, MetrizedComplex
 from .curves import AuditReport, CurveDivisor, P1Oracle
 from .errors import FieldTooSmallError, InputError, McdivError
 from .exact import INF, MatrixF, Poly, RationalFunc, kernel_dim, laurent_at, ord_at
-from .rank import Site, _largest_k, _potentials, point_divisor, rank, site_divisor
+from .rank import _largest_k, _potentials, point_divisor, rank, site_divisor
 
 
 class FunctionSpace:
@@ -293,11 +293,12 @@ def _parent_edges(model, root):
 
 
 def _restricted_sites(cx, d, spaces, fresh):
-    """Chip sites for restricted-rank tests: graphical vertices plus, per
-    component, the points where something special can happen (marked
-    points, divisor support, basis zeros and poles, ramification points)
-    and a few fresh generic points."""
-    sites = [Site("g", w) for w in cx.graphical_vertices()]
+    """Places for restricted-rank test chips: the point of each graphical
+    vertex, then (v, q) for the curve points q of each component v where
+    something special can happen (marked points, divisor support, basis
+    zeros and poles, ramification points) and a few fresh generic points,
+    one place per point key."""
+    sites = [cx.model.vertex_point(w) for w in cx.graphical_vertices()]
     for v in cx.oracle_vertices():
         o = cx.oracles[v]
         space = spaces[v]
@@ -338,7 +339,7 @@ def _restricted_sites(cx, d, spaces, fresh):
             kq = o.point_key(q)
             if kq not in seen:
                 seen.add(kq)
-                sites.append(Site("c", v, q))
+                sites.append((v, q))
     return sites
 
 

@@ -21,35 +21,24 @@ def default_base_point(cx: MetrizedComplex):
     return cx.model.vertex_point(cx.model.vertices[0])
 
 
-# -- sites on which test divisors are supported -----------------------------
-
-
-@dataclass(frozen=True)
-class Site:
-    """A place where a unit test chip can sit: a graphical model vertex or
-    a curve point on an oracle vertex."""
-
-    kind: str  # "g" or "c"
-    vertex: str
-    point: object = None
-
-    def __repr__(self):
-        if self.kind == "g":
-            return f"site@{self.vertex}"
-        return f"site@{self.vertex}:{self.point}"
+# -- places on which test divisors are supported ----------------------------
 
 
 def rank_determining_sites(cx: MetrizedComplex, seed=0, oversize=0):
-    """One chip site per graphical model vertex plus genus+1 curve points
-    per oracle vertex, avoiding the marked points.
+    """Places for unit test chips: the point of each graphical model
+    vertex, then (v, p) for genus+1 curve points p per oracle vertex v,
+    avoiding the marked points.
 
     Different seeds select disjoint point runs when the curve has enough
-    rational points, falling back to rotations when it does not.  Finite
-    Picard tables contribute all their unmarked points (their coarse class
-    groups need the full pool to stay rank-determining); the detection
-    property is audited here and fails loudly when marks exhaust it.
+    rational points, falling back to rotations when it does not; the seed
+    must be at least 0.  Finite Picard tables contribute all their
+    unmarked points (their coarse class groups need the full pool to stay
+    rank-determining); the detection property is audited here and fails
+    loudly when marks exhaust it.
     """
-    sites = [Site("g", w) for w in cx.graphical_vertices()]
+    if seed < 0:
+        raise InputError(f"seed must be at least 0, got {seed}")
+    sites = [cx.model.vertex_point(w) for w in cx.graphical_vertices()]
     for v in cx.oracle_vertices():
         o = cx.oracles[v]
         marked = list(cx.marks[v].values())
@@ -60,7 +49,7 @@ def rank_determining_sites(cx: MetrizedComplex, seed=0, oversize=0):
                     f"table oracle at {v}: marked points exhaust the "
                     "rank-detecting pool"
                 )
-            sites.extend(Site("c", v, p) for p in pts)
+            sites.extend((v, p) for p in pts)
             continue
         need = o.genus + 1 + oversize
         want = need * (seed + 1)
@@ -69,21 +58,13 @@ def rank_determining_sites(cx: MetrizedComplex, seed=0, oversize=0):
         except FieldTooSmallError:
             pts = o.sample_points(need, avoid=marked)
             pts = pts[seed % len(pts) :] + pts[: seed % len(pts)]
-        sites.extend(Site("c", v, p) for p in pts[:need])
+        sites.extend((v, p) for p in pts[:need])
     return sites
 
 
 def site_divisor(cx, multiset) -> ComplexDivisor:
-    graph = []
-    curves = {}
-    for s in multiset:
-        if s.kind == "g":
-            graph.append((cx.model.vertex_point(s.vertex), 1))
-        else:
-            o = cx.oracles[s.vertex]
-            cur = curves.get(s.vertex, o.zero_divisor())
-            curves[s.vertex] = cur + o.divisor((s.point, 1))
-    return cx.divisor(graph_pairs=graph, curve_parts=curves)
+    """The test divisor with one chip on each place of the multiset."""
+    return cx.chips((s, 1) for s in multiset)
 
 
 # -- the non-negative rank test ---------------------------------------------
@@ -158,10 +139,12 @@ def _validate_shortcut(cx, sites):
 
 def _rank_enumerated(cx, d, sites) -> int:
     # k = 0 tests d itself, so no empty test divisor is built.  A multiset
-    # is tested at the vertex of its last site: sites are grouped by vertex,
-    # so multisets that differ only in their last chips share one reduction
+    # is tested at the vertex of its last place: places are grouped by
+    # vertex, so multisets that differ only in their last chips share one
+    # reduction
     return _largest_k(sites, lambda e: nonneg_rank(
-        cx, d - site_divisor(cx, e), cx.model.vertex_point(e[-1].vertex)
+        cx, d - site_divisor(cx, e),
+        e[-1] if isinstance(e[-1], GraphPoint) else cx.model.vertex_point(e[-1][0]),
     ) if e else nonneg_rank(cx, d), d.degree())
 
 
@@ -240,29 +223,20 @@ class Moderator:
     def __post_init__(self):
         for v, dv in self.parts.items():
             o = self.cx.oracles[v]
+            if dv.oracle is not o:
+                raise InputError(f"part at {v} built on a foreign oracle")
             if dv.degree() != o.genus - 1 or o.curve_rank(dv) != -1:
                 raise InputError(f"part at {v} is not minimal non-special")
         if set(self.parts) != set(self.cx.oracle_vertices()):
             raise InputError("need one part per oracle vertex")
 
     def divisor(self) -> ComplexDivisor:
-        cx = self.cx
-        pi = self.orientation
-        graph = []
-        curves = {}
-        for w in cx.graphical_vertices():
-            c = pi.deg_plus(w) - 1
-            if c:
-                graph.append((cx.model.vertex_point(w), c))
-        for v in cx.oracle_vertices():
-            o = cx.oracles[v]
-            away = o.zero_divisor()
-            for e_name in pi.out_edges(v):
-                e = cx.model.edges[e_name]
-                end = 0 if e.u == v else 1
-                away = away + o.divisor((cx.marked_point(v, e_name, end), 1))
-            curves[v] = away + self.parts[v]
-        out = cx.divisor(graph_pairs=graph, curve_parts=curves)
+        cx, model, pi = self.cx, self.cx.model, self.orientation
+        graph = [(model.vertex_point(w), pi.deg_plus(w) - 1) for w in cx.graphical_vertices()]
+        away = [((v, cx.marked_point(v, e, 0 if model.edges[e].u == v else 1)), 1)
+                for v in cx.oracle_vertices() for e in pi.out_edges(v)]
+        parts = [((v, p), c) for v, dv in self.parts.items() for p, c in dv.coeffs.items()]
+        out = cx.chips(graph + away + parts)
         if out.degree() != cx.genus() - 1:
             raise McdivError("moderator degree check failed")
         return out
@@ -372,13 +346,9 @@ def combinatorial_rank(cx, d: ComplexDivisor) -> int:
 
 
 def point_divisor(cx, pt, mult=1) -> ComplexDivisor:
-    """Divisor mult*(pt) for a graphical point or a (vertex, curve point)
-    pair."""
-    if isinstance(pt, GraphPoint):
-        return cx.divisor(graph_pairs=[(pt, mult)])
-    v, p = pt
-    o = cx.oracles[v]
-    return cx.divisor(curve_parts={v: o.divisor((p, mult))})
+    """Divisor mult*(pt) for a place pt: a graph point off the oracle
+    vertices or a (vertex, curve point) pair."""
+    return cx.chips([(pt, mult)])
 
 
 def is_weierstrass(cx, pt, seed=0) -> bool:
@@ -390,14 +360,10 @@ def is_weierstrass(cx, pt, seed=0) -> bool:
 
 
 def weierstrass_grid(cx):
-    """Search grid: graphical vertices, sampled curve points, and the
-    interior edge points at 1/2, 1/3 and 2/3 of each edge."""
-    pts = []
-    for s in rank_determining_sites(cx):
-        if s.kind == "g":
-            pts.append(cx.model.vertex_point(s.vertex))
-        else:
-            pts.append((s.vertex, s.point))
+    """Search grid: the rank-determining places (graphical vertices and
+    sampled curve points), then the interior edge points at 1/2, 1/3 and
+    2/3 of each edge."""
+    pts = rank_determining_sites(cx)
     for name, e in sorted(cx.model.edges.items()):
         for q in (2, 3):
             for j in range(1, q):

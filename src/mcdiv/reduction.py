@@ -57,9 +57,7 @@ def _blocking(cx, d, x, segs):
     if x.kind == "v" and cx.is_oracle_vertex(x.where):
         v = x.where
         o = cx.oracles[v]
-        rem = d.curve_part(v)
-        for re in segs:
-            rem = rem - o.divisor((_marked_point_of_redge(cx, v, re), 1))
+        rem = d.curve_part(v) - o.divisor(*((_marked_point_of_redge(cx, v, re), 1) for re in segs))
         return ("curve", rem, o.curve_rank(rem))
     return ("graph", d.graph.get(x), len(segs))
 

@@ -151,6 +151,12 @@ class TestParsing:
         with pytest.raises(InputError, match="u"):
             parse_document(json.dumps(bad))
 
+    def test_negative_seed_rejected_with_path(self):
+        bad = json.loads(json.dumps(THETA_DOC))
+        bad["seed"] = -1
+        with pytest.raises(InputError, match=r"^seed: must be at least 0, got -1$"):
+            parse_document(json.dumps(bad))
+
     def test_minimal_document(self):
         doc = parse_document(
             json.dumps(
@@ -232,7 +238,9 @@ class TestCommands:
     @pytest.mark.parametrize("argv, flag", [
         (["bn-search", "--d", "-1", "--r", "1"], "--d"),
         (["eta", "--divisor", "D1", "--point", "e1:1/4", "--k", "-2"], "--k"),
-    ], ids=["d", "k"])
+        (["bn-search", "--d", "2", "--r", "-3"], "--r"),
+        (["rank", "--divisor", "D1", "--seed", "-1"], "--seed"),
+    ], ids=["d", "k", "r", "seed"])
     def test_negative_count_exits_2(self, argv, flag, capsys):
         assert main([argv[0], str(THETA_JSON), *argv[1:]]) == 2
         assert capsys.readouterr().err.startswith(f"input error: {flag}: ")

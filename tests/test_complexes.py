@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from mcdiv.complexes import (
+    ComplexDivisor,
     ComplexRationalFunction,
     MetrizedComplex,
     NodalCurveDescription,
@@ -18,7 +19,7 @@ from mcdiv.complexes import (
 from mcdiv.curves import EllipticOracle, O_POINT, P1Oracle
 from mcdiv.errors import InputError
 from mcdiv.exact import INF, PrimeField, QQ
-from mcdiv.metric import GraphDivisor, GraphModel, PLFunction
+from mcdiv.metric import GraphDivisor, GraphModel, GraphPoint, PLFunction
 
 from conftest import (
     random_complex,
@@ -68,6 +69,77 @@ class TestStructure:
         assert d.degree() == 5
         gp = d.gamma_part()
         assert gp.get(cx.model.vertex_point("u")) == 3
+
+
+def _places(cx):
+    """Graphical vertices, edge midpoints and two points per curve."""
+    places = [cx.model.vertex_point(w) for w in cx.graphical_vertices()]
+    places += [cx.model.point_on(n, e.length / 2) for n, e in sorted(cx.model.edges.items())]
+    for v in cx.oracle_vertices():
+        places += [(v, p) for p in cx.oracles[v].sample_points(2)]
+    return places
+
+
+class TestChips:
+    """cx.chips builds a divisor in one pass; each test compares it with a
+    chip-by-chip construction."""
+
+    def test_equals_fold_of_single_chips(self, rng):
+        for _ in range(30):
+            cx = random_complex(rng)
+            places = _places(cx)
+            pairs = [(rng.choice(places), rng.choice([-3, -2, -1, 1, 2, 3]))
+                     for _ in range(rng.randint(1, 8))]
+            x, c = pairs[0]
+            pairs += [(x, c), (x, -2 * c)]  # x repeats, and its chips cancel
+            fold = cx.zero_divisor()
+            for x, c in pairs:
+                if isinstance(x, GraphPoint):
+                    fold = fold + cx.divisor(graph_pairs=[(x, c)])
+                else:
+                    v, p = x
+                    fold = fold + cx.divisor(curve_parts={v: cx.oracles[v].divisor((p, c))})
+            assert cx.chips(pairs) == fold
+            assert cx.chips(pairs).key() == fold.key()
+
+    def test_vertex_twist_equals_slope_sum(self, rng):
+        for _ in range(30):
+            cx = random_complex(rng)
+            pot = {v: rng.randint(-3, 3) for v in cx.model.vertices}
+            for v in cx.oracle_vertices():
+                o = cx.oracles[v]
+                want = o.zero_divisor()
+                for e, end in cx.model.incident_edges(v):
+                    s = pot[e.v if end == 0 else e.u] - pot[v]
+                    if s:
+                        want = want + o.divisor((cx.marked_point(v, e.name, end), s))
+                assert cx.vertex_twist(v, pot) == want
+
+    def test_lift_graph_divisor_puts_vertex_chips_on_lift_points(self, rng):
+        for _ in range(30):
+            cx = random_complex(rng)
+            pts = [cx.model.vertex_point(v) for v in cx.model.vertices]
+            pts += [cx.model.point_on(n, e.length / 3) for n, e in cx.model.edges.items()]
+            d = GraphDivisor.of(*((rng.choice(pts), rng.randint(-3, 3)) for _ in range(6)))
+            graph, curves = {}, {}
+            for p, c in d.coeffs.items():
+                if p.kind == "v" and cx.is_oracle_vertex(p.where):
+                    o = cx.oracles[p.where]
+                    cur = curves.get(p.where, o.zero_divisor())
+                    curves[p.where] = cur + o.divisor((cx.lift_point(p.where), c))
+                else:
+                    graph[p] = graph.get(p, 0) + c
+            lifted = cx.lift_graph_divisor(d)
+            assert lifted == ComplexDivisor(cx, GraphDivisor(graph), curves)
+            assert lifted.gamma_part() == d
+
+    def test_places_off_their_kind_are_refused(self):
+        cx = trivial_theta()
+        with pytest.raises(InputError, match="oracle vertex"):
+            cx.chips([(cx.model.vertex_point("u"), 1)])
+        bare = MetrizedComplex(theta_model())
+        with pytest.raises(InputError, match="carries no curve"):
+            bare.chips([(("u", INF), 1)])
 
 
 class TestDivOf:

@@ -103,13 +103,7 @@ class TestRank:
             cx = random_complex(rng)
             d = random_divisor(rng, cx, deg_lo=-2, deg_hi=4)
             sites = rank_determining_sites(cx)
-            extra = point_divisor(
-                cx,
-                (sites[-1].vertex, sites[-1].point)
-                if sites[-1].kind == "c"
-                else cx.model.vertex_point(sites[-1].vertex),
-                1,
-            )
+            extra = point_divisor(cx, sites[-1], 1)
             r0, r1 = rank(cx, d), rank(cx, d + extra)
             assert r1 - r0 in (0, 1)
 
@@ -121,6 +115,17 @@ class TestRank:
             r1 = rank(cx, d, sites=rank_determining_sites(cx, seed=1))
             big = rank(cx, d, sites=rank_determining_sites(cx, oversize=2))
             assert r0 == r1 == big
+
+    def test_negative_seed_is_refused(self):
+        # a negative seed would sample no curve points, and too few test
+        # places overstate the rank (D1 on theta.json has rank 0)
+        doc = parse_document(THETA_JSON.read_text())
+        cx, d = doc.complex, doc.divisors["D1"]
+        assert rank(cx, d, seed=0) == 0
+        with pytest.raises(InputError, match="seed"):
+            rank_determining_sites(cx, seed=-1)
+        with pytest.raises(InputError, match="seed"):
+            rank(cx, d, seed=-1, audit=True)
 
     def test_genus_zero_complex_matches_graph_rank(self, rng):
         # attaching projective lines everywhere never changes the rank of
@@ -261,6 +266,14 @@ class TestModerators:
         o = cx.oracles["u"]
         with pytest.raises(InputError):
             Moderator(cx, pi, {"u": o.divisor((INF, 1)), "v": o.divisor((INF, -1))})
+
+    def test_part_on_foreign_oracle_rejected(self):
+        # a part's points are only meaningful on its own curve
+        cx = as_trivial_complex(theta_model())
+        pi = next(enumerate_acyclic_orientations(cx.model, "u"))
+        o = cx.oracles["u"]
+        with pytest.raises(InputError, match="foreign oracle"):
+            Moderator(cx, pi, {"u": o.divisor((INF, -1)), "v": o.divisor((INF, -1))}).divisor()
 
 
 class TestNonspecialBound:
