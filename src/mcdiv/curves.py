@@ -42,6 +42,8 @@ class CurveDivisor:
         return all(c >= 0 for c in self.coeffs.values())
 
     def __add__(self, o):
+        if o.oracle is not self.oracle:
+            raise InputError("cannot add divisors on different curves")
         out = dict(self.coeffs)
         for p, c in o.coeffs.items():
             out[p] = out.get(p, 0) + c

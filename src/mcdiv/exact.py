@@ -541,9 +541,3 @@ class MatrixF:
             sum((a * b for a, b in zip(row, v)), start=self.field.zero())
             for row in self.rows
         ]
-
-
-def kernel_dim(m: MatrixF):
-    """Dimension and basis of the right kernel of m."""
-    basis = m.kernel_basis()
-    return len(basis), basis

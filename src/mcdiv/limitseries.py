@@ -13,14 +13,16 @@ from dataclasses import dataclass
 from .complexes import ComplexDivisor, MetrizedComplex
 from .curves import AuditReport, CurveDivisor, P1Oracle
 from .errors import FieldTooSmallError, InputError, McdivError
-from .exact import INF, MatrixF, Poly, RationalFunc, kernel_dim, laurent_at, ord_at
+from .exact import INF, MatrixF, Poly, RationalFunc, _val0, laurent_at, ord_at
 from .rank import _largest_k, _potentials, point_divisor, rank, site_divisor
 
 
 class FunctionSpace:
     """A linear span of rational functions on a projective line, held by a
     validated basis over one common denominator: basis[i] = nums[i] / den,
-    and `poles` are the roots of den, sorted."""
+    and `poles` are the roots of den, sorted.  Its local table, filled on the
+    first query at a finite point p, holds each numerator's Taylor
+    coefficients at p and the multiplicity of p in den."""
 
     def __init__(self, oracle: P1Oracle, basis):
         if not isinstance(oracle, P1Oracle):
@@ -49,16 +51,25 @@ class FunctionSpace:
         if MatrixF(field, rows).rank() < len(rows):
             raise InputError("basis is linearly dependent")
         self.meets_memo = {}  # bound key -> bool; only ever gains entries
+        self.local_memo = {}  # point key -> ([n.shifted(p) for n in nums], den.mult_at(p))
 
     @property
     def dim(self):
         return len(self.basis)
 
+    def _local(self, p):
+        """The local table's entry at the finite point p, filled on first use."""
+        key = self.oracle.point_key(p)
+        if key not in self.local_memo:
+            self.local_memo[key] = ([n.shifted(p) for n in self.nums], self.den.mult_at(p))
+        return self.local_memo[key]
+
     def min_ord(self, p) -> int:
         """Smallest order at p of a nonzero element of the span."""
         if p is INF:
             return self.den.degree - max(n.degree for n in self.nums)
-        return min(n.mult_at(p) for n in self.nums) - self.den.mult_at(p)
+        shifted, mden = self._local(p)
+        return min(_val0(s) for s in shifted) - mden
 
     def contained_in_L(self, d: CurveDivisor) -> bool:
         """Whether every element f of the span satisfies div(f) + d >= 0."""
@@ -68,10 +79,10 @@ class FunctionSpace:
             self.min_ord(p) >= -d.get(p) for p in pts
         )
 
-    def constrained_dim(self, constraints):
-        """Dimension and kernel basis of {f in span : ord_p(f) >= m_p for all
-        constraints}.  For f = sum c_i nums[i] / den, the Taylor coefficients
-        of sum c_i nums[i] at p below m_p + mult_p(den) vanish (at INF: its
+    def constrained_dim(self, constraints) -> int:
+        """Dimension of {f in span : ord_p(f) >= m_p for all constraints}.
+        For f = sum c_i nums[i] / den, the Taylor coefficients of
+        sum c_i nums[i] at p below m_p + mult_p(den) vanish (at INF: its
         coefficients of t^j with j > deg den - m_p)."""
         rows = []
         field = self.oracle.field
@@ -81,16 +92,13 @@ class FunctionSpace:
                 cols = [n.coeffs for n in self.nums]
                 js = range(max(0, self.den.degree - m + 1), max(map(len, cols)))
             else:
-                cols = [n.shifted(p).coeffs for n in self.nums]
-                js = range(m + self.den.mult_at(p))
+                shifted, mden = self._local(p)
+                cols = [s.coeffs for s in shifted]
+                js = range(m + mden)
             rows.extend([c[j] if j < len(c) else zero for c in cols] for j in js)
         if not rows:
-            return self.dim, [
-                [field.one() if i == j else zero for j in range(self.dim)]
-                for i in range(self.dim)
-            ]
-        m = MatrixF(field, rows)
-        return kernel_dim(m)
+            return self.dim
+        return self.dim - MatrixF(field, rows).rank()
 
     def subspace_meets(self, bound: CurveDivisor) -> bool:
         """Whether some nonzero element f has div(f) + bound >= 0."""
@@ -106,7 +114,7 @@ class FunctionSpace:
             m = -bound.get(p)
             if m > self.min_ord(p):
                 constraints.append((p, m))
-        dim, _ = self.constrained_dim(constraints)
+        dim = self.constrained_dim(constraints)
         cache[key] = dim > 0
         return dim > 0
 
@@ -356,6 +364,7 @@ def _restricted_feasible(cx, d, e_div, spaces, bound):
         if p.kind != "v":
             raise InputError("restricted rank needs vertex-supported divisors")
         d_graph[p.where] = c
+    rest = {v: d.curve_part(v) - e_div.curve_part(v) for v in cx.oracle_vertices()}
     # graphical degrees first, then the spaces
     return any(
         all(
@@ -365,7 +374,7 @@ def _restricted_feasible(cx, d, e_div, spaces, bound):
             for w in cx.graphical_vertices()
         )
         and all(
-            spaces[v].subspace_meets(d.curve_part(v) + cx.vertex_twist(v, f) - e_div.curve_part(v))
+            spaces[v].subspace_meets(rest[v] + cx.vertex_twist(v, f))
             for v in cx.oracle_vertices()
         )
         for f in _potentials(list(cx.model.vertices), bound)

@@ -38,6 +38,16 @@ class TestP1:
         assert self.o.curve_rank(d) == 3
         assert self.o.curve_rank(d.scale(-1)) == -1
 
+    def test_sum_across_curves_rejected(self):
+        other = P1Oracle(QQ)
+        d = self.o.divisor((QQ.elem(0), 1))
+        e = other.divisor((QQ.elem(0), 1))
+        with pytest.raises(InputError, match="different curves"):
+            d + e
+        with pytest.raises(InputError, match="different curves"):
+            d - e
+        assert d + self.o.divisor((QQ.elem(0), 1)) == self.o.divisor((QQ.elem(0), 2))
+
     def test_classes_by_degree(self):
         d1 = self.o.divisor((QQ.elem(0), 1), (QQ.elem(1), 1))
         d2 = self.o.divisor((INF, 2))

@@ -17,7 +17,6 @@ from mcdiv.exact import (
     QQ,
     RationalFunc,
     is_prime,
-    kernel_dim,
     laurent_at,
     ord_at,
 )
@@ -163,17 +162,18 @@ class TestOrdAt:
 class TestKernel:
     def test_identity_has_trivial_kernel(self):
         m = MatrixF.make(QQ, [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
-        dim, basis = kernel_dim(m)
+        basis = m.kernel_basis()
+        dim = len(basis)
         assert dim == 0 and basis == []
 
     def test_zero_matrix(self):
         m = MatrixF.make(QQ, [[0, 0, 0], [0, 0, 0]])
-        dim, _ = kernel_dim(m)
+        dim = len(m.kernel_basis())
         assert dim == 3
 
     def test_ones_over_f2(self):
         m = MatrixF.make(PrimeField(2), [[1, 1], [1, 1]])
-        dim, basis = kernel_dim(m)
+        dim = len(m.kernel_basis())
         assert dim == 1
 
     @settings(max_examples=30)
@@ -181,7 +181,8 @@ class TestKernel:
                     min_size=2, max_size=4))
     def test_kernel_vectors_annihilate(self, rows):
         m = MatrixF.make(QQ, rows)
-        dim, basis = kernel_dim(m)
+        basis = m.kernel_basis()
+        dim = len(basis)
         assert dim + m.rank() == m.ncols
         for v in basis:
             assert all(x == 0 for x in m.mul_vec(v))

@@ -71,7 +71,7 @@ class TestFunctionSpace:
 
     def test_constrained_dim(self):
         h = mono(0, 1, 2)
-        dim, _ = h.constrained_dim([(QQ.elem(0), 2)])
+        dim = h.constrained_dim([(QQ.elem(0), 2)])
         assert dim == 1  # only t^2 vanishes doubly at 0
 
     def test_dependent_only_over_common_denominator(self):
@@ -172,8 +172,49 @@ class TestLocalModel:
                     for f in elements
                     if f.is_zero() or all(ord_at(f, q) >= m for q, m in cons)
                 )
-                dim, _ = space.constrained_dim(cons)
+                dim = space.constrained_dim(cons)
                 assert p**dim == meets, (space.basis, cons)
+
+    @pytest.mark.parametrize("p", [5, 7])
+    def test_local_table_answers_like_a_fresh_space(self, p, monkeypatch):
+        """One space asked min_ord, constrained_dim and subspace_meets in a
+        shuffled, repeated order answers every query as a fresh twin asked
+        once, and shifts each numerator (and the denominator) once per
+        distinct finite point."""
+        rng, points, spaces = self.draw(p, 12)
+        shifted = []
+        original = Poly.shifted
+
+        def counting(self, a):
+            shifted.append(self)
+            return original(self, a)
+
+        for space in spaces:
+            o = space.oracle
+            queries = []
+            for q in points:
+                queries.append(("min_ord", q))
+                queries.append(("constrained_dim", [(q, space.min_ord(q) + rng.randint(0, 2))]))
+            for _ in range(6):
+                pairs = [(q, rng.randint(-2, 3)) for q in rng.sample(points, 2)]
+                queries.append(("subspace_meets", o.divisor(*pairs)))
+            queries = queries * 2
+            rng.shuffle(queries)
+            twin_answers = [
+                getattr(FunctionSpace(o, space.basis), name)(arg) for name, arg in queries
+            ]
+            space = FunctionSpace(o, space.basis)
+            del shifted[:]
+            monkeypatch.setattr(Poly, "shifted", counting)
+            answers = [getattr(space, name)(arg) for name, arg in queries]
+            monkeypatch.setattr(Poly, "shifted", original)
+            assert answers == twin_answers
+            finite = len(points) - 1  # every finite point is asked about
+            assert len(space.local_memo) == finite
+            for n in space.nums:
+                assert sum(1 for s in shifted if s is n) == finite
+            assert sum(1 for s in shifted if s is space.den) == finite
+            assert len(shifted) == (space.dim + 1) * finite
 
 
 class TestVanishingSequence:

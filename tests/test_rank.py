@@ -455,6 +455,18 @@ class TestNoHiddenState:
         assert len(space.meets_memo) == 2
         assert set(vars(space)) == before
 
+    def test_local_queries_keep_space_attributes(self):
+        o = P1Oracle(QQ)
+        t = Poly.x(QQ)
+        one = Poly.const(QQ, 1)
+        space = FunctionSpace(o, [RationalFunc.make(one, t), RationalFunc.make(t, one)])
+        before = set(vars(space))
+        assert space.min_ord(QQ.elem(0)) == -1
+        assert space.constrained_dim([(QQ.elem(0), 0), (QQ.elem(2), 1)]) == 0
+        assert space.constrained_dim([(QQ.elem(0), 1)]) == 1
+        assert len(space.local_memo) == 2
+        assert set(vars(space)) == before
+
     def test_limit_series_operations_keep_space_attributes(self):
         cx = regularize(NodalCurveDescription(
             {"Y": P1Oracle(QQ), "Z": P1Oracle(QQ)}, [("Y", QQ.elem(0), "Z", QQ.elem(0))]))
