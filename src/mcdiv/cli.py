@@ -183,11 +183,16 @@ def cmd_glue_rank(doc, args):
             if not cx.is_oracle_vertex(v):
                 raise InputError(f"{path}: {v} carries no curve")
             return (v, parse_curve_point(cx.oracles[v], spec["point"], path))
-        return parse_graph_point(cx.model, spec, path)
+        x = parse_graph_point(cx.model, spec, path)
+        if x.kind == "v" and cx.is_oracle_vertex(x.where):
+            raise InputError(f"{path}: {x.where} carries a curve; give a 'point' on it")
+        return x
 
     x1 = attach(doc.complex, doc.glue_spec.get("x1", {}), "glue.x1")
     x2 = attach(doc.complex2, doc.glue_spec.get("x2", {}), "glue.x2")
     length = parse_rational(doc.glue_spec.get("length", 1), "glue.length")
+    if length <= 0:
+        raise InputError(f"glue.length: bridge length must be positive, got {length}")
     d1 = _need_divisor(doc, args)
     d2 = doc.complex2.zero_divisor()
     formula = decomposition.connected_sum_rank(

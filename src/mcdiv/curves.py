@@ -165,11 +165,7 @@ class P1Oracle(CurveOracle):
     def sample_points(self, count, avoid=()):
         avoid = set(avoid)
         out = []
-        if isinstance(self.field, PrimeField):
-            stream = [Fp(i, self.field.p) for i in range(self.field.p)] + [INF]
-        else:
-            stream = self.field.sample_points(count + len(avoid) + 1) + [INF]
-        for p in stream:
+        for p in self.field.sample_points(count + len(avoid) + 1) + [INF]:
             if p not in avoid:
                 out.append(p)
             if len(out) == count:
@@ -213,35 +209,6 @@ class P1Oracle(CurveOracle):
             coeffs[r] = coeffs.get(r, 0) - 1
         coeffs[INF] = f.den.degree - f.num.degree
         return CurveDivisor(self, coeffs)
-
-    def function_space_basis(self, d: CurveDivisor):
-        """Basis of L(d) = {f : div(f) + d >= 0}; empty when deg(d) < 0.
-
-        Elements are forced*t^i/h for i = 0..deg(d), where h collects the
-        positive finite part of d and forced the finite zeros d demands.
-        """
-        self._check(d)
-        deg = d.degree()
-        if deg < 0:
-            return []
-        h = Poly.const(self.field, 1)
-        forced = Poly.const(self.field, 1)
-        for p, c in d.coeffs.items():
-            if p is INF or c == 0:
-                continue
-            lin = Poly.make(self.field, [-p, 1])
-            for _ in range(abs(c)):
-                if c > 0:
-                    h = h * lin
-                else:
-                    forced = forced * lin
-        basis = []
-        t = Poly.x(self.field)
-        mono = Poly.const(self.field, 1)
-        for _i in range(deg + 1):
-            basis.append(RationalFunc.make(forced * mono, h))
-            mono = mono * t
-        return basis
 
 
 @dataclass(frozen=True)

@@ -487,10 +487,6 @@ class MatrixF:
     def make(field, rows):
         return MatrixF(field, [[field.elem(x) for x in r] for r in rows])
 
-    @property
-    def ncols(self):
-        return len(self.rows[0]) if self.rows else 0
-
     def rref(self):
         """Reduced row echelon form; returns (matrix rows, pivot columns)."""
         m = [list(r) for r in self.rows]
@@ -520,24 +516,3 @@ class MatrixF:
 
     def rank(self):
         return len(self.rref()[1])
-
-    def kernel_basis(self):
-        """Basis of the right kernel; rank + len(basis) == ncols."""
-        m, pivots = self.rref()
-        nc = self.ncols
-        free = [c for c in range(nc) if c not in pivots]
-        basis = []
-        zero, one = self.field.zero(), self.field.one()
-        for fc in free:
-            v = [zero] * nc
-            v[fc] = one
-            for ri, pc in enumerate(pivots):
-                v[pc] = -m[ri][fc]
-            basis.append(v)
-        return basis
-
-    def mul_vec(self, v):
-        return [
-            sum((a * b for a, b in zip(row, v)), start=self.field.zero())
-            for row in self.rows
-        ]

@@ -204,7 +204,6 @@ class Document:
     complex2: MetrizedComplex | None = None
     glue_spec: dict | None = None
     seed: int = 0
-    raw: dict = field(default_factory=dict)
 
 
 def _parse_model(obj, path):
@@ -330,7 +329,7 @@ def parse_document(text: str) -> Document:
     seed = _int(raw.get("seed", 0), "seed")
     if seed < 0:
         _fail("seed", f"must be at least 0, got {seed}")
-    doc = Document(complex=cx, seed=seed, raw=raw)
+    doc = Document(complex=cx, seed=seed)
     if "complex2" in raw:
         doc.complex2 = _parse_complex(raw["complex2"], "complex2")
     if "glue" in raw:
@@ -385,8 +384,3 @@ def _parse_limit_series(cx, obj, p):
             ]
             aspects[v] = Aspect(div, FunctionSpace(o, basis))
     return {"root": root, "degree": d, "rank": r, "aspects": aspects}
-
-
-def serialize_document(doc: Document) -> str:
-    """Round-trip serialization of the raw document (canonical key order)."""
-    return json.dumps(doc.raw, indent=2, sort_keys=True)

@@ -118,9 +118,6 @@ class FunctionSpace:
         cache[key] = dim > 0
         return dim > 0
 
-    def rescale(self, f: RationalFunc) -> "FunctionSpace":
-        return FunctionSpace(self.oracle, [b * f for b in self.basis])
-
 
 def _wronskian(polys):
     """Determinant of the derivative matrix of the given polynomials."""

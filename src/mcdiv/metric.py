@@ -10,7 +10,6 @@ unchanged.  All point coordinates are rational offsets along base edges.
 
 from __future__ import annotations
 
-import heapq
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
@@ -56,7 +55,6 @@ class GraphModel:
             raise InputError("duplicate vertex names")
         vset = set(self.vertices)
         self.edges = {}
-        self.loop_break_vertices = set()
         for name, u, v, length in edges:
             length = Fraction(length)
             if length <= 0:
@@ -71,7 +69,6 @@ class GraphModel:
                     raise InputError(f"vertex name {mid} collides with loop split")
                 self.vertices.append(mid)
                 vset.add(mid)
-                self.loop_break_vertices.add(mid)
                 half = length / 2
                 self.edges[f"{name}~a"] = Edge(f"{name}~a", u, mid, half)
                 self.edges[f"{name}~b"] = Edge(f"{name}~b", mid, u, half)
@@ -135,24 +132,6 @@ class GraphModel:
 
     def refinement(self, extra_points=()):
         return Refinement(self, extra_points)
-
-    def distance(self, p: GraphPoint, q: GraphPoint) -> Fraction:
-        """Shortest-path distance between two points of the metric graph."""
-        ref = self.refinement([x for x in (p, q) if x.kind == "e"])
-        dist = {n: None for n in ref.nodes}
-        dist[p] = Fraction(0)
-        heap = [(Fraction(0), repr(p), p)]
-        while heap:
-            d, _, x = heapq.heappop(heap)
-            if dist[x] is not None and d > dist[x]:
-                continue
-            for ei, end in ref.adj[x]:
-                y = ref.redges[ei].ends[1 - end]
-                nd = d + ref.redges[ei].length
-                if dist[y] is None or nd < dist[y]:
-                    dist[y] = nd
-                    heapq.heappush(heap, (nd, repr(y), y))
-        return dist[q]
 
 
 @dataclass(frozen=True)
@@ -349,10 +328,6 @@ class AcyclicOrientation:
     def as_dict(self):
         return dict(self.directions)
 
-    def head(self, edge_name):
-        e = self.model.edges[edge_name]
-        return e.v if self.as_dict()[edge_name] == 0 else e.u
-
     def tail(self, edge_name):
         e = self.model.edges[edge_name]
         return e.u if self.as_dict()[edge_name] == 0 else e.v
@@ -391,19 +366,11 @@ def _has_directed_cycle(model, dirs):
     return any(color[v] == 0 and visit(v) for v in model.vertices)
 
 
-def enumerate_acyclic_orientations(model: GraphModel, sink=None):
-    """All acyclic orientations; with `sink` given, only those whose unique
-    sink is that vertex."""
+def enumerate_acyclic_orientations(model: GraphModel):
+    """All acyclic orientations."""
     names = sorted(model.edges)
     for flips in itertools.product((0, 1), repeat=len(names)):
         dirs = dict(zip(names, flips))
         if _has_directed_cycle(model, dirs):
             continue
-        pi = AcyclicOrientation(model, tuple(zip(names, flips)))
-        if sink is not None:
-            outdegs = {v: pi.deg_plus(v) for v in model.vertices}
-            if outdegs[sink] != 0:
-                continue
-            if any(d == 0 for v, d in outdegs.items() if v != sink):
-                continue
-        yield pi
+        yield AcyclicOrientation(model, tuple(zip(names, flips)))

@@ -36,9 +36,6 @@ class Cut:
     nodes: set  # surviving GraphPoints
     fronts: dict  # boundary GraphPoint -> [REdge] leaving the region there
 
-    def boundary(self):
-        return {x: len(segs) for x, segs in self.fronts.items()}
-
 
 @dataclass
 class BurnResult:

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from mcdiv.cli import main
 from mcdiv.errors import InputError
-from mcdiv.io import parse_document, serialize_document
+from mcdiv.io import parse_document
 
 GLUE_DOC = {
     "format": 1,
@@ -131,14 +131,6 @@ def limit_file(tmp_path):
 
 
 class TestParsing:
-    def test_roundtrip(self):
-        doc = parse_document(json.dumps(THETA_DOC))
-        again = parse_document(serialize_document(doc))
-        assert again.complex.genus() == doc.complex.genus()
-        assert sorted(again.divisors) == sorted(doc.divisors)
-        # the reparsed divisor carries fresh oracle objects; compare shape
-        assert again.divisors["K"].key() == doc.divisors["K"].key()
-
     def test_negative_length_rejected_with_path(self):
         bad = json.loads(json.dumps(THETA_DOC))
         bad["complex"]["edges"][0]["length"] = "-1"
@@ -291,20 +283,15 @@ class TestCommands:
     @pytest.mark.parametrize("glue, where", [
         ([], "glue"),
         ({"x1": 5, "x2": GLUE_DOC["glue"]["x2"]}, "glue.x1"),
+        (dict(GLUE_DOC["glue"], length="0"), "glue.length"),
+        (dict(GLUE_DOC["glue"], length="-2"), "glue.length"),
+        (dict(GLUE_DOC["glue"], x1={"vertex": "s"}), "glue.x1"),
     ])
     def test_glue_not_an_object_exits_2(self, tmp_path, capsys, glue, where):
         f = tmp_path / "glue.json"
         f.write_text(json.dumps(dict(GLUE_DOC, glue=glue)))
         assert main(["glue-rank", str(f), "--divisor", "D1"]) == 2
         assert capsys.readouterr().err.startswith(f"input error: {where}: ")
-
-    def test_threads_env_same_result(self, theta_file, capsys, monkeypatch):
-        main(["rank", theta_file, "--divisor", "K"])
-        base = capsys.readouterr().out
-        monkeypatch.setenv("MCDIV_THREADS", "3")
-        main(["rank", theta_file, "--divisor", "K"])
-        threaded = capsys.readouterr().out
-        assert base == threaded
 
 
 # mutations of scripts/theta.json that used to end in a traceback, with the

@@ -16,7 +16,7 @@ from mcdiv.curves import (
     riemann_roch_audit,
 )
 from mcdiv.errors import AuditError, FieldTooSmallError, InputError
-from mcdiv.exact import INF, PrimeField, QQ, ord_at
+from mcdiv.exact import INF, Fp, PrimeField, QQ
 
 
 @pytest.fixture(scope="module")
@@ -70,26 +70,6 @@ class TestP1:
         assert len(out) == 2
         assert all(d.degree() == -1 and self.o.curve_rank(d) == -1 for d in out)
 
-    def test_function_space_sizes(self):
-        d = self.o.divisor((QQ.elem(0), 2))
-        basis = self.o.function_space_basis(d)
-        assert len(basis) == 3
-        assert self.o.function_space_basis(self.o.divisor((QQ.elem(0), -1))) == []
-
-    @settings(max_examples=20)
-    @given(st.lists(st.tuples(st.integers(-3, 3), st.integers(-2, 3)),
-                    min_size=1, max_size=3))
-    def test_function_space_members(self, spec):
-        coeffs = {}
-        for x, c in spec:
-            coeffs[QQ.elem(x)] = coeffs.get(QQ.elem(x), 0) + c
-        d = self.o.divisor(*coeffs.items())
-        basis = self.o.function_space_basis(d)
-        assert len(basis) == max(d.degree() + 1, 0)
-        for f in basis:
-            for p in list(coeffs) + [INF]:
-                assert ord_at(f, p) >= -d.get(p)
-
     def test_principal_witness_roundtrip(self):
         d = self.o.divisor((QQ.elem(2), 2), (QQ.elem(1), -1), (INF, -1))
         f = self.o.principal_witness(d)
@@ -102,6 +82,32 @@ class TestP1:
         o = P1Oracle(PrimeField(2))
         with pytest.raises(FieldTooSmallError):
             o.sample_points(5)
+
+    @settings(max_examples=200)
+    @given(st.sampled_from([2, 3, 5, 7]), st.integers(0, 9), st.lists(st.integers(-1, 7), max_size=6))
+    def test_prime_field_samples_follow_full_stream(self, p, count, avoid_idx):
+        """Over F_p, sampling walks the whole point stream 0..p-1, INF:
+        it skips `avoid` and stops once `count` points are kept."""
+        o = P1Oracle(PrimeField(p))
+        full = [Fp(i, p) for i in range(p)] + [INF]
+        avoid = [full[i] for i in avoid_idx if i < len(full)]
+
+        def walk_full_stream():
+            out = []
+            for q in full:
+                if q not in avoid:
+                    out.append(q)
+                if len(out) == count:
+                    return out
+            raise FieldTooSmallError(count, len(out))
+
+        def outcome(fn):
+            try:
+                return fn()
+            except FieldTooSmallError as err:
+                return ("too small", err.needed)
+
+        assert outcome(lambda: o.sample_points(count, avoid=avoid)) == outcome(walk_full_stream)
 
 
 class TestElliptic:

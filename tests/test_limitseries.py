@@ -387,7 +387,7 @@ class TestRestrictedRank:
         # rescale the Z-space by (t-1) and shift the divisor accordingly
         shift = oz.divisor((QQ.elem(1), 1), (INF, -1))
         f = oz.principal_witness(shift)
-        spaces2 = {"Y": spaces["Y"], "Z": spaces["Z"].rescale(f)}
+        spaces2 = {"Y": spaces["Y"], "Z": FunctionSpace(oz, [b * f for b in spaces["Z"].basis])}
         d2 = cx.divisor(
             curve_parts={"Y": d.curve_part("Y"), "Z": d.curve_part("Z") - shift}
         )

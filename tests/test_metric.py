@@ -4,8 +4,6 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from mcdiv.errors import InputError
 from mcdiv.metric import (
@@ -89,23 +87,6 @@ class TestRefine:
         assert sorted(g.edges) == ["loop~a", "loop~b"]
         assert all(e.length == 1 for e in g.edges.values())
 
-    @settings(max_examples=25)
-    @given(st.integers(1, 7), st.integers(1, 7))
-    def test_refine_preserves_distance(self, num, den):
-        g = theta_model()
-        off = Fraction(num, num + den)
-        p = g.point_on("e1", off)
-        q = g.vertex_point("v")
-        base = g.distance(p, q)
-        # distances computed through an unrelated refinement agree
-        ref_pts = [g.point_on("e2", Fraction(1, 3)), g.point_on("e3", Fraction(5, 7))]
-        g2 = GraphModel(
-            list(g.vertices),
-            [(n, e.u, e.v, e.length) for n, e in g.edges.items()],
-        )
-        assert g2.distance(g2.point_on("e1", off), g2.vertex_point("v")) == base
-        assert base == min(1 - off, off + 1)
-
 
 class TestPLFunctions:
     def test_constant_divisor_empty(self):
@@ -177,30 +158,24 @@ class TestPLFunctions:
 class TestOrientations:
     def test_single_edge(self):
         g = segment_model()
-        pis = list(enumerate_acyclic_orientations(g, "v0"))
-        assert len(pis) == 1
-        assert pis[0].deg_plus("v0") == 0 and pis[0].deg_plus("w") == 1
+        pis = list(enumerate_acyclic_orientations(g))
+        assert sorted((pi.deg_plus("v0"), pi.deg_plus("w")) for pi in pis) == [(0, 1), (1, 0)]
 
     def test_triangle_two_with_sink(self):
         g = GraphModel(
             ["u", "v", "w"],
             [("a", "u", "v", 1), ("b", "v", "w", 1), ("c", "w", "u", 1)],
         )
-        assert len(list(enumerate_acyclic_orientations(g, "u"))) == 2
         assert len(list(enumerate_acyclic_orientations(g))) == 6
 
     def test_theta_unique(self):
-        pis = list(enumerate_acyclic_orientations(theta_model(), "u"))
-        assert len(pis) == 1
-        assert all(pis[0].head(e) == "u" for e in ("e1", "e2", "e3"))
-
-    def test_every_orientation_has_unique_sink_at_target(self):
-        g = theta_model()
-        for pi in enumerate_acyclic_orientations(g, "v"):
-            sinks = [v for v in g.vertices if pi.deg_plus(v) == 0]
-            assert sinks == ["v"]
+        pis = list(enumerate_acyclic_orientations(theta_model()))
+        assert len(pis) == 2
+        into_u = [pi for pi in pis if pi.deg_plus("u") == 0]
+        assert len(into_u) == 1
+        assert all(into_u[0].tail(e) == "v" for e in ("e1", "e2", "e3"))
 
     def test_reversal_is_involution(self):
         g = theta_model()
-        pi = next(enumerate_acyclic_orientations(g, "u"))
+        pi = next(enumerate_acyclic_orientations(g))
         assert pi.reversed().reversed().as_dict() == pi.as_dict()
