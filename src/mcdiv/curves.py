@@ -164,13 +164,11 @@ class P1Oracle(CurveOracle):
 
     def sample_points(self, count, avoid=()):
         avoid = set(avoid)
-        out = []
-        for p in self.field.sample_points(count + len(avoid) + 1) + [INF]:
-            if p not in avoid:
-                out.append(p)
-            if len(out) == count:
-                return out
-        raise FieldTooSmallError(count, len(out), f"P1 over {self.field}")
+        stream = self.field.sample_points(count + len(avoid) + 1) + [INF]
+        out = [p for p in stream if p not in avoid][:count]
+        if len(out) < count:
+            raise FieldTooSmallError(count, len(out), f"P1 over {self.field}")
+        return out
 
     def minimal_nonspecial_sample(self, pool):
         for q in pool:

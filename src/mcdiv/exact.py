@@ -287,20 +287,21 @@ class Poly:
         return _val0(self.shifted(a))
 
     def rational_roots(self):
-        """Roots lying in the base field, with multiplicity, plus the
-        nonsplit cofactor."""
+        """Roots lying in the base field, ascending and with multiplicity,
+        plus the nonsplit cofactor.  Over F_p the scan of candidates stops
+        once the cofactor is constant."""
         if self.is_zero():
             raise InputError("zero polynomial")
         roots = []
         p = self
         if isinstance(self.field, PrimeField):
-            candidates = [Fp(i, self.field.p) for i in range(self.field.p)]
-            for a in candidates:
+            for i in range(self.field.p):
+                if p.degree == 0:
+                    break
+                a = Fp(i, self.field.p)
                 while not p(a):
                     roots.append(a)
                     p = p // Poly.make(self.field, [-a, 1])
-                    if p.degree == 0:
-                        break
         else:
             # rational root theorem on the primitive integer model
             p = p.monic()

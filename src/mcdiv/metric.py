@@ -177,12 +177,6 @@ class Refinement:
             self.adj[re.ends[0]].append((i, 0))
             self.adj[re.ends[1]].append((i, 1))
 
-    def with_points(self, pts):
-        """A common refinement including the given extra interior points."""
-        extra = [n for n in self.nodes if n.kind == "e"]
-        extra += [p for p in pts if p.kind == "e"]
-        return Refinement(self.model, extra)
-
 
 class GraphDivisor:
     """Finite integer combination of points of the metric graph."""
@@ -289,10 +283,9 @@ class PLFunction:
     @staticmethod
     def sum(model: GraphModel, fs):
         """The sum of the functions, on one common refinement: the union of
-        their interior nodes.  Vertex values add; along each base edge the
-        summed slope starts as the sum of the first slopes and changes only
-        at the functions' own nodes, so each function is read once."""
-        ref = Refinement(model, [n for f in fs for n in f.ref.nodes if n.kind == "e"])
+        their interior nodes.  Vertex values add, first slopes add, and the
+        slope changes at the functions' own nodes add, so each function is
+        read once; from_slopes rebuilds the values."""
         first, bend = {}, {}  # edge -> summed first slope; node -> summed slope change
         for f in fs:
             for re, s in zip(f.ref.redges, f.slopes):
@@ -303,6 +296,17 @@ class PLFunction:
                 prev = s
         vals = {GraphPoint("v", v): sum((f.values[GraphPoint("v", v)] for f in fs), Fraction(0))
                 for v in model.vertices}
+        points = [n for f in fs for n in f.ref.nodes if n.kind == "e"]
+        return PLFunction.from_slopes(model, points, vals, first, bend)
+
+    @staticmethod
+    def from_slopes(model: GraphModel, points, vertex_values, first, bend):
+        """The function on the refinement by the interior points with the
+        given model-vertex values, first slope per base edge and slope change
+        per interior point (absent ones 0); a walk along each edge fills in
+        the interior values."""
+        ref = Refinement(model, points)
+        vals = dict(vertex_values)
         for re in ref.redges:
             slope = first.get(re.base, 0) if re.lo == 0 else slope + bend.get(re.ends[0], 0)
             if re.ends[1].kind == "e":

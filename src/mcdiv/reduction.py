@@ -38,6 +38,18 @@ class Cut:
 
 
 @dataclass
+class Move:
+    """A firing event as a rational function: 0 on the cut's region, slope
+    -1 from each boundary node out to its landing, -eps beyond; plus the
+    principal shift at each renormalized boundary oracle vertex."""
+
+    cut: Cut
+    eps: Fraction
+    landings: list  # (boundary node, front segment, landing point)
+    shifts: dict  # oracle vertex -> CurveDivisor
+
+
+@dataclass
 class BurnResult:
     all_burnt: bool
     cut: Cut | None = None
@@ -128,13 +140,14 @@ def fire_cut(cx, d: ComplexDivisor, cut: Cut, debt_mode=False, want_witness=True
 
     Each front segment has one end in the region and moves one chip from
     that boundary node to the point at distance eps along it; at an oracle
-    vertex the chip leaves or lands on the marked point the segment meets.  Boundary oracle vertices
-    are then renormalized to an effective representative when their part
-    has non-negative rank.
+    vertex the chip leaves or lands on the marked point the segment meets.
+    Boundary oracle vertices are then renormalized to an effective
+    representative when their part has non-negative rank; each shift is
+    checked to be principal (classes_equal of the two representatives).
 
-    Returns (new divisor, step, witness increment).  The increment, a
-    rational function whose divisor is the move, is built only with
-    want_witness; otherwise it is None.
+    Returns (new divisor, step, move).  The move, the record of this event
+    whose sum with others _witness turns into a rational function, is
+    returned only with want_witness; otherwise it is None.
     """
     if not debt_mode and not check_saturated(cx, d, cut):
         raise McdivError("internal error: firing an unsaturated cut")
@@ -149,7 +162,7 @@ def fire_cut(cx, d: ComplexDivisor, cut: Cut, debt_mode=False, want_witness=True
             land = cx.model.point_on(re.base, re.lo + eps if re.ends[0] == x else re.hi - eps)
             _add_chips(cx, graph, curves, x, re, -1)
             _add_chips(cx, graph, curves, land, re, 1)
-            landings.append(land)
+            landings.append((x, re, land))
     # renormalize boundary oracle vertices inside their curve-divisor class
     shifts = {}
     for x in cut.fronts:
@@ -163,31 +176,41 @@ def fire_cut(cx, d: ComplexDivisor, cut: Cut, debt_mode=False, want_witness=True
         rep = o.effective_representative(part)
         shift = rep - part
         if shift.coeffs:
-            # with a witness, ComplexRationalFunction validates the shift
-            if not want_witness and not o.classes_equal(rep, part):
+            if not o.classes_equal(rep, part):
                 raise McdivError("internal error: renormalization left the class")
             shifts[v] = shift
             curves[v] = rep
     d_new = ComplexDivisor(cx, GraphDivisor(graph), curves)
-    if not want_witness:
-        return d_new, eps, None
-    # the move is div f for f = 0 on the region, falling with slope 1 along
-    # each outgoing segment to -eps at the landing point, -eps beyond
-    ref = cut.refinement.with_points(landings)
-    f = PLFunction(ref, {n: Fraction(0) if n in cut.nodes else -eps for n in ref.nodes})
-    return d_new, eps, ComplexRationalFunction(cx, f, shifts)
+    return d_new, eps, Move(cut, eps, landings, shifts) if want_witness else None
 
 
-def _witness(cx, incs) -> ComplexRationalFunction:
-    """The sum of the firing increments: one PL function on their common
-    refinement and, per oracle vertex, the summed curve shift (an explicit
-    function on a projective line)."""
-    f = PLFunction.sum(cx.model, [inc.f_gamma for inc in incs])
-    shifts = {}
-    for inc in incs:
-        for v in inc.witnesses:
-            sh = inc.curve_divisor_shift(v)
+def _witness(cx, moves) -> ComplexRationalFunction:
+    """The sum of the moves as one rational function, walked once by
+    PLFunction.from_slopes on the refinement by every move's interior nodes
+    and landings.  A move adds -eps at the vertices outside its region, and
+    a first slope or bend where each stretch from a boundary node to its
+    landing starts, the opposite bend where it ends.  Per oracle vertex the
+    shifts add up to one function (explicit on a projective line)."""
+    vals = {GraphPoint("v", w): Fraction(0) for w in cx.model.vertices}
+    points, first, bend, shifts = [], {}, {}, {}
+    for mv in moves:
+        points += [n for n in mv.cut.refinement.nodes if n.kind == "e"]
+        for n in vals:
+            if n not in mv.cut.nodes:
+                vals[n] -= mv.eps
+        for x, re, land in mv.landings:
+            points.append(land)
+            # the stretch from a to b (in the edge's direction) has slope s
+            a, b, s = (x, land, -1) if re.ends[0] == x else (land, x, 1)
+            if a.kind == "v":
+                first[re.base] = first.get(re.base, 0) + s
+            else:
+                bend[a] = bend.get(a, 0) + s
+            if b.kind == "e":
+                bend[b] = bend.get(b, 0) - s
+        for v, sh in mv.shifts.items():
             shifts[v] = shifts[v] + sh if v in shifts else sh
+    f = PLFunction.from_slopes(cx.model, points, vals, first, bend)
     wits = {}
     for v, sh in shifts.items():
         if sh.coeffs:
@@ -206,16 +229,16 @@ def clear_debt(cx, d: ComplexDivisor, v0: GraphPoint, cap=DEFAULT_EVENT_CAP,
     the fronts of that region are its segments ending at z.  v0 is the
     only point allowed to go arbitrarily negative.
 
-    Returns (divisor, increments): the list of the fire_cut witness
-    increments, in firing order, or None without want_witness.
+    Returns (divisor, moves): the list of the fire_cut moves, in firing
+    order, or None without want_witness.
     """
     start = d
-    incs = [] if want_witness else None
+    moves = [] if want_witness else None
     steps = 0
     while True:
         debts = _debts(cx, d, v0)
         if not debts:
-            return d, incs
+            return d, moves
         z = max(debts)[2]
         ref = cx.model.refinement([*d.graph.coeffs, v0, z])
         # region: component of v0 after deleting z; every segment leaving
@@ -234,11 +257,11 @@ def clear_debt(cx, d: ComplexDivisor, v0: GraphPoint, cap=DEFAULT_EVENT_CAP,
                     fronts.setdefault(x, []).append(re)
                 elif y not in nodes:
                     stack.append(y)
-        d, _eps, inc = fire_cut(cx, d, Cut(ref, nodes, fronts), debt_mode=True,
-                                want_witness=want_witness)
-        if incs is not None:
-            incs.append(inc)
-            if check_each_step and not (start + _witness(cx, incs).divisor() == d):
+        d, _eps, mv = fire_cut(cx, d, Cut(ref, nodes, fronts), debt_mode=True,
+                               want_witness=want_witness)
+        if moves is not None:
+            moves.append(mv)
+            if check_each_step and not (start + _witness(cx, moves).divisor() == d):
                 raise McdivError("internal error: witness identity failed in debt step")
         steps += 1
         if steps > cap:
@@ -252,36 +275,37 @@ def reduce_divisor(cx, d: ComplexDivisor, v0: GraphPoint, cap=DEFAULT_EVENT_CAP,
     The result is effective away from v0, every other curve part has
     non-negative rank, and the burning pass consumes the whole graph.
     Returns (reduced divisor, witness): the witness is one
-    ComplexRationalFunction f with d + div f equal to the result, summed
-    once from the firing increments at the end.  With want_witness=False
-    no increment is built and None is returned in its place;
-    check_each_step re-verifies the identity for the increments so far
-    after every firing event.
+    ComplexRationalFunction f with d + div f equal to the result.  Firing
+    events record their moves and _witness sums them once at the end, on
+    one refinement; with check_witness (the default) the identity is then
+    verified.  With want_witness=False no move is recorded and None is
+    returned in place of the witness; check_each_step re-verifies the
+    identity for the moves so far after every firing event.
     """
     if v0.kind == "v" and v0.where not in cx.model.vertices:
         raise InputError(f"unknown base vertex {v0}")
     start = d
-    d, incs = clear_debt(cx, d, v0, cap, want_witness=want_witness,
-                         check_each_step=check_each_step)
-    if incs is not None and check_each_step:
-        if not (start + _witness(cx, incs).divisor() == d):
+    d, moves = clear_debt(cx, d, v0, cap, want_witness=want_witness,
+                          check_each_step=check_each_step)
+    if moves is not None and check_each_step:
+        if not (start + _witness(cx, moves).divisor() == d):
             raise McdivError("internal error: witness identity failed after debt")
     steps = 0
     while True:
         res = burn(cx, d, v0)
         if res.all_burnt:
             break
-        d, _eps, inc = fire_cut(cx, d, res.cut, want_witness=want_witness)
-        if incs is not None:
-            incs.append(inc)
-            if check_each_step and not (start + _witness(cx, incs).divisor() == d):
+        d, _eps, mv = fire_cut(cx, d, res.cut, want_witness=want_witness)
+        if moves is not None:
+            moves.append(mv)
+            if check_each_step and not (start + _witness(cx, moves).divisor() == d):
                 raise McdivError("internal error: witness identity failed mid-run")
         steps += 1
         if steps > cap:
             raise BudgetError(f"reduction exceeded {cap} events")
-    if incs is None:
+    if moves is None:
         return d, None
-    wit = _witness(cx, incs)
+    wit = _witness(cx, moves)
     if check_witness and not (start + wit.divisor() == d):
         raise McdivError("internal error: witness identity failed")
     return d, wit

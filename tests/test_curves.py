@@ -87,7 +87,8 @@ class TestP1:
     @given(st.sampled_from([2, 3, 5, 7]), st.integers(0, 9), st.lists(st.integers(-1, 7), max_size=6))
     def test_prime_field_samples_follow_full_stream(self, p, count, avoid_idx):
         """Over F_p, sampling walks the whole point stream 0..p-1, INF:
-        it skips `avoid` and stops once `count` points are kept."""
+        it skips `avoid` and keeps the first `count` points; a count of 0
+        keeps none, whatever is avoided."""
         o = P1Oracle(PrimeField(p))
         full = [Fp(i, p) for i in range(p)] + [INF]
         avoid = [full[i] for i in avoid_idx if i < len(full)]
@@ -95,11 +96,11 @@ class TestP1:
         def walk_full_stream():
             out = []
             for q in full:
-                if q not in avoid:
+                if len(out) < count and q not in avoid:
                     out.append(q)
-                if len(out) == count:
-                    return out
-            raise FieldTooSmallError(count, len(out))
+            if len(out) < count:
+                raise FieldTooSmallError(count, len(out))
+            return out
 
         def outcome(fn):
             try:
@@ -108,6 +109,7 @@ class TestP1:
                 return ("too small", err.needed)
 
         assert outcome(lambda: o.sample_points(count, avoid=avoid)) == outcome(walk_full_stream)
+        assert o.sample_points(0, avoid=avoid) == []
 
 
 class TestElliptic:

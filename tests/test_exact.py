@@ -91,6 +91,30 @@ class TestPoly:
         roots, cof = p.rational_roots()
         assert roots == [] and cof.degree == 2
 
+    @settings(max_examples=150, deadline=None)
+    @given(st.sampled_from([2, 3, 5, 7, 101]), st.data())
+    def test_rational_roots_fp_match_brute_force(self, p, data):
+        # c * (t - r_1) ... (t - r_k) * g with g constant or a monic
+        # quadratic or cubic without a root in F_p; k = 0 gives constants
+        field = PrimeField(p)
+        elems = [Fp(i, p) for i in range(p)]
+        f = Poly.const(field, data.draw(st.integers(1, p - 1)))
+        if data.draw(st.booleans()):
+            g = data.draw(st.lists(st.integers(0, p - 1), min_size=2, max_size=3)
+                          .map(lambda cs: Poly.make(field, cs + [1]))
+                          .filter(lambda g: all(g(a) for a in elems)))
+            f = f * g
+        for r in data.draw(st.lists(st.integers(0, p - 1), max_size=5)):
+            f = f * Poly.make(field, [-r, 1])
+        roots, cof = f.rational_roots()
+        want = [a for a in elems for _ in range(f.mult_at(a))]
+        assert roots == want
+        split = Poly.const(field, 1)
+        for a in want:
+            split = split * Poly.make(field, [-a, 1])
+        assert cof * split == f
+        assert all(cof.mult_at(a) == 0 for a in elems)
+
     def test_derivative(self):
         p = Poly.make(QQ, [5, 3, 0, 2])
         assert p.derivative() == Poly.make(QQ, [3, 0, 6])

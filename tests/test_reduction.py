@@ -14,7 +14,7 @@ from mcdiv.curves import EllipticOracle, O_POINT, P1Oracle
 from mcdiv.errors import InputError
 from mcdiv.exact import PrimeField
 from mcdiv.io import parse_document
-from mcdiv.metric import GraphModel
+from mcdiv.metric import GraphModel, PLFunction, Refinement
 from mcdiv.rank import linear_equiv, nonneg_rank, rank
 from mcdiv.reduction import burn, check_saturated, fire_cut, reduce_divisor
 
@@ -97,14 +97,14 @@ class TestBurn:
 
 
 def _fire(cx, d, cut, want_witness):
-    """fire_cut in either mode: the divisor of the witness increment is the
-    move, and without a witness the move is the same."""
-    d2, eps, inc = fire_cut(cx, d, cut, want_witness=want_witness)
+    """fire_cut in either mode: the divisor of the move, summed alone, is
+    the change of the divisor, and without a witness the change is the same."""
+    d2, eps, mv = fire_cut(cx, d, cut, want_witness=want_witness)
     if not want_witness:
-        assert inc is None
-        d_w, eps_w, inc = fire_cut(cx, d, cut, want_witness=True)
+        assert mv is None
+        d_w, eps_w, mv = fire_cut(cx, d, cut, want_witness=True)
         assert (d_w, eps_w) == (d2, eps)
-    assert d + inc.divisor() == d2
+    assert d + reduction._witness(cx, [mv]).divisor() == d2
     return d2, eps
 
 
@@ -366,10 +366,10 @@ class TestFastPathAgrees:
         original = reduction.fire_cut
 
         def checked_fire_cut(cx_, d_, cut, *args, want_witness=True, **kwargs):
-            d_new, eps, inc = original(cx_, d_, cut, *args, want_witness=want_witness, **kwargs)
+            d_new, eps, mv = original(cx_, d_, cut, *args, want_witness=want_witness, **kwargs)
             if want_witness:
-                assert d_ + inc.divisor() == d_new
-            return d_new, eps, inc
+                assert d_ + reduction._witness(cx_, [mv]).divisor() == d_new
+            return d_new, eps, mv
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(reduction, "fire_cut", checked_fire_cut)
@@ -380,6 +380,39 @@ class TestFastPathAgrees:
                 assert none is None
                 assert fast == slow
                 assert d + wit.divisor() == slow
+
+
+def _move_function(cx, mv):
+    """One move as its own PL function: on the cut's refinement plus the
+    landing points, 0 on the region and -eps elsewhere."""
+    points = [n for n in mv.cut.refinement.nodes if n.kind == "e"]
+    ref = Refinement(cx.model, points + [land for _x, _re, land in mv.landings])
+    return PLFunction(ref, {n: Fraction(0) if n in mv.cut.nodes else -mv.eps for n in ref.nodes})
+
+
+class TestWitnessSum:
+    @settings(max_examples=40, deadline=None)
+    @given(small_complexes())
+    def test_witness_is_the_sum_of_move_functions(self, case):
+        """The witness summed from the move records equals PLFunction.sum of
+        one PL function per move: the same nodes and the same values."""
+        cx, d = case
+        original = reduction.fire_cut
+        moves = []
+
+        def recording_fire_cut(*args, **kwargs):
+            out = original(*args, **kwargs)
+            moves.append(out[2])
+            return out
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(reduction, "fire_cut", recording_fire_cut)
+            for w in cx.model.vertices:
+                moves.clear()
+                _red, wit = reduce_divisor(cx, d, cx.model.vertex_point(w), check_witness=False)
+                summed = PLFunction.sum(cx.model, [_move_function(cx, mv) for mv in moves])
+                assert wit.f_gamma.ref.nodes == summed.ref.nodes
+                assert wit.f_gamma.values == summed.values
 
 
 def _nonneg_by_full_reduction(cx, d, v0):
