@@ -1,6 +1,7 @@
 #!/usr/bin/env python3
 """Fuzz the core identities: Riemann-Roch, Clifford, and reduced-divisor
-quasi-uniqueness on random small complexes.
+quasi-uniqueness (equal Γ-parts and curve classes, every firing event
+checked) on random small complexes.
 
 Usage: python3 scripts/fuzz_audits.py [--pairs N] [--seed S]
 """
@@ -45,9 +46,12 @@ def main():
                     return 1
         w = random_witness(rng, cx)
         v0 = cx.model.vertex_point(cx.model.vertices[0])
-        r1, _ = reduce_divisor(cx, d, v0)
-        r2, _ = reduce_divisor(cx, d + w.divisor(), v0)
-        if r1.gamma_part() != r2.gamma_part():
+        r1, _ = reduce_divisor(cx, d, v0, check_each_step=True)
+        r2, _ = reduce_divisor(cx, d + w.divisor(), v0, check_each_step=True)
+        if r1.gamma_part() != r2.gamma_part() or not all(
+            cx.oracles[v].classes_equal(r1.curve_part(v), r2.curve_part(v))
+            for v in cx.oracle_vertices()
+        ):
             print(f"FAIL quasi-uniqueness at pair {i}: {d!r}")
             return 1
     dt = time.time() - t0

@@ -53,7 +53,10 @@ def _parse_point(cx, spec):
         except json.JSONDecodeError as err:
             raise InputError(f"--point: not valid JSON after '@': {err}") from None
         return (vname, parse_curve_point(cx.oracles[vname], obj, "--point"))
-    return _parse_base(cx, spec, "--point")
+    x = _parse_base(cx, spec, "--point")
+    if x.kind == "v" and cx.is_oracle_vertex(x.where):
+        raise InputError(f"--point: {x.where} carries a curve; give VERTEX@{{json point}}")
+    return x
 
 
 def _need_divisor(doc, args):

@@ -175,7 +175,8 @@ class P1Oracle(CurveOracle):
             yield self.divisor((q, -1))
 
     def principal_witness(self, d: CurveDivisor) -> RationalFunc:
-        """A rational function with divisor exactly d (degree 0 required)."""
+        """A rational function with divisor exactly d (degree 0 required);
+        its numerator and denominator are monic and coprime by construction."""
         self._check(d)
         if d.degree() != 0:
             raise InputError("principal divisors have degree 0")
@@ -190,7 +191,7 @@ class P1Oracle(CurveOracle):
                     num = num * lin
                 else:
                     den = den * lin
-        return RationalFunc.make(num, den)
+        return RationalFunc(num, den)
 
     def divisor_of(self, f: RationalFunc) -> CurveDivisor:
         """div(f) for a function whose zeros and poles are field-rational."""

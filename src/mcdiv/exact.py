@@ -5,6 +5,7 @@ fields.  No floating point anywhere.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -306,9 +307,7 @@ class Poly:
             # rational root theorem on the primitive integer model
             p = p.monic()
             while p.degree > 0:
-                den_lcm = 1
-                for c in p.coeffs:
-                    den_lcm = den_lcm * c.denominator // _gcd_int(den_lcm, c.denominator)
+                den_lcm = math.lcm(*(c.denominator for c in p.coeffs))
                 ints = [int(c * den_lcm) for c in p.coeffs]
                 a0, an = ints[0], ints[-1]
                 if a0 == 0:
@@ -338,12 +337,6 @@ class Poly:
         return " + ".join(
             f"{c}*t^{i}" if i else f"{c}" for i, c in enumerate(self.coeffs) if c
         )
-
-
-def _gcd_int(a, b):
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def _divisors(n):

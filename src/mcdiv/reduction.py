@@ -49,31 +49,17 @@ class Move:
     shifts: dict  # oracle vertex -> CurveDivisor
 
 
-@dataclass
-class BurnResult:
-    all_burnt: bool
-    cut: Cut | None = None
-
-
-def _blocking(cx, d, x, segs):
-    """How the node x meets fire along the refined segments segs.
-
-    At an oracle vertex: ("curve", remainder, its rank), the remainder being
-    the curve part minus the marked points the segments meet.  Elsewhere:
-    ("graph", coefficient, number of segments).  x withstands the fire
-    exactly when _withstands holds of this.
-    """
+def _withstands(cx, d, x, segs) -> bool:
+    """Whether the node x withstands fire reaching it along the refined
+    segments segs.  At an oracle vertex: the curve part minus the marked
+    points the segments meet has non-negative rank.  Elsewhere: the
+    coefficient covers the number of segments."""
     if x.kind == "v" and cx.is_oracle_vertex(x.where):
         v = x.where
         o = cx.oracles[v]
         rem = d.curve_part(v) - o.divisor(*((_marked_point_of_redge(cx, v, re), 1) for re in segs))
-        return ("curve", rem, o.curve_rank(rem))
-    return ("graph", d.graph.get(x), len(segs))
-
-
-def _withstands(blocking):
-    kind, have, n = blocking
-    return n >= 0 if kind == "curve" else n <= have
+        return o.curve_rank(rem) >= 0
+    return len(segs) <= d.graph.get(x)
 
 
 def _debts(cx, d, v0):
@@ -92,13 +78,13 @@ def _debts(cx, d, v0):
     return debts
 
 
-def burn(cx: MetrizedComplex, d: ComplexDivisor, v0: GraphPoint) -> BurnResult:
+def burn(cx: MetrizedComplex, d: ComplexDivisor, v0: GraphPoint) -> Cut | None:
     """Run the burning pass from v0 on a normalized divisor.
 
-    Returns all-burnt (the divisor is v0-reduced) or the surviving region,
-    which is the maximal saturated cut avoiding v0.  A node is re-examined
-    only when fire reaches it along one more segment (Dhar's worklist), so
-    the pass touches each segment once.  The segments along which the fire
+    Returns None when everything burns (the divisor is v0-reduced), else
+    the surviving region as a Cut: the maximal saturated cut avoiding v0.
+    A node is re-examined only when fire reaches it along one more segment
+    (Dhar's worklist), so the pass touches each segment once.  The segments along which the fire
     reached a surviving node are the fronts of the cut at that node.
     """
     debts = _debts(cx, d, v0)
@@ -119,22 +105,22 @@ def burn(cx: MetrizedComplex, d: ComplexDivisor, v0: GraphPoint) -> BurnResult:
                 continue
             segs = reached.setdefault(y, [])
             segs.append(re)
-            if not _withstands(_blocking(cx, d, y, segs)):
+            if not _withstands(cx, d, y, segs):
                 burnt.add(y)
                 todo.append(y)
     if len(burnt) == len(ref.nodes):
-        return BurnResult(True)
+        return None
     nodes = {x for x in ref.nodes if x not in burnt}
     fronts = {y: segs for y, segs in reached.items() if y not in burnt}
-    return BurnResult(False, Cut(ref, nodes, fronts))
+    return Cut(ref, nodes, fronts)
 
 
 def check_saturated(cx, d, cut: Cut) -> bool:
     """Every boundary point absorbs its outgoing firing."""
-    return all(_withstands(_blocking(cx, d, x, segs)) for x, segs in cut.fronts.items())
+    return all(_withstands(cx, d, x, segs) for x, segs in cut.fronts.items())
 
 
-def fire_cut(cx, d: ComplexDivisor, cut: Cut, debt_mode=False, want_witness=True):
+def fire_cut(cx, d: ComplexDivisor, cut: Cut, debt_mode=False):
     """Fire the region: one unit of slope on every segment of its fronts,
     with the largest event-driven step eps, the shortest such segment.
 
@@ -145,9 +131,9 @@ def fire_cut(cx, d: ComplexDivisor, cut: Cut, debt_mode=False, want_witness=True
     representative when their part has non-negative rank; each shift is
     checked to be principal (classes_equal of the two representatives).
 
-    Returns (new divisor, step, move).  The move, the record of this event
-    whose sum with others _witness turns into a rational function, is
-    returned only with want_witness; otherwise it is None.
+    Returns (new divisor, move): the move is the record of this event
+    (its step is move.eps) whose sum with others _witness turns into a
+    rational function.  Outside debt_mode the cut must be saturated.
     """
     if not debt_mode and not check_saturated(cx, d, cut):
         raise McdivError("internal error: firing an unsaturated cut")
@@ -181,7 +167,7 @@ def fire_cut(cx, d: ComplexDivisor, cut: Cut, debt_mode=False, want_witness=True
             shifts[v] = shift
             curves[v] = rep
     d_new = ComplexDivisor(cx, GraphDivisor(graph), curves)
-    return d_new, eps, Move(cut, eps, landings, shifts) if want_witness else None
+    return d_new, Move(cut, eps, landings, shifts)
 
 
 def _witness(cx, moves) -> ComplexRationalFunction:
@@ -219,8 +205,18 @@ def _witness(cx, moves) -> ComplexRationalFunction:
     return ComplexRationalFunction(cx, f, wits)
 
 
+def _fire(cx, d, cut, moves, debt_mode, check):
+    """Fire the cut through fire_cut and record its move in moves; with
+    check, verify that d plus the move's function alone is the new divisor."""
+    d_new, mv = fire_cut(cx, d, cut, debt_mode=debt_mode)
+    if check and not (d + _witness(cx, [mv]).divisor() == d_new):
+        raise McdivError("internal error: witness identity failed for a firing event")
+    moves.append(mv)
+    return d_new
+
+
 def clear_debt(cx, d: ComplexDivisor, v0: GraphPoint, cap=DEFAULT_EVENT_CAP,
-               want_witness=True, check_each_step=False):
+               check_each_step=False):
     """Make the divisor burnable: every graphical coefficient non-negative
     away from v0 and every other oracle part of non-negative rank.
 
@@ -229,11 +225,10 @@ def clear_debt(cx, d: ComplexDivisor, v0: GraphPoint, cap=DEFAULT_EVENT_CAP,
     the fronts of that region are its segments ending at z.  v0 is the
     only point allowed to go arbitrarily negative.
 
-    Returns (divisor, moves): the list of the fire_cut moves, in firing
-    order, or None without want_witness.
+    Returns (divisor, moves): the fire_cut moves in firing order.  With
+    check_each_step each event is verified on its own as it fires.
     """
-    start = d
-    moves = [] if want_witness else None
+    moves = []
     steps = 0
     while True:
         debts = _debts(cx, d, v0)
@@ -257,12 +252,7 @@ def clear_debt(cx, d: ComplexDivisor, v0: GraphPoint, cap=DEFAULT_EVENT_CAP,
                     fronts.setdefault(x, []).append(re)
                 elif y not in nodes:
                     stack.append(y)
-        d, _eps, mv = fire_cut(cx, d, Cut(ref, nodes, fronts), debt_mode=True,
-                               want_witness=want_witness)
-        if moves is not None:
-            moves.append(mv)
-            if check_each_step and not (start + _witness(cx, moves).divisor() == d):
-                raise McdivError("internal error: witness identity failed in debt step")
+        d = _fire(cx, d, Cut(ref, nodes, fronts), moves, True, check_each_step)
         steps += 1
         if steps > cap:
             raise BudgetError(f"debt clearing exceeded {cap} events")
@@ -275,35 +265,25 @@ def reduce_divisor(cx, d: ComplexDivisor, v0: GraphPoint, cap=DEFAULT_EVENT_CAP,
     The result is effective away from v0, every other curve part has
     non-negative rank, and the burning pass consumes the whole graph.
     Returns (reduced divisor, witness): the witness is one
-    ComplexRationalFunction f with d + div f equal to the result.  Firing
-    events record their moves and _witness sums them once at the end, on
-    one refinement; with check_witness (the default) the identity is then
-    verified.  With want_witness=False no move is recorded and None is
-    returned in place of the witness; check_each_step re-verifies the
-    identity for the moves so far after every firing event.
+    ComplexRationalFunction f with d + div f equal to the result.  Every
+    firing event, in debt clearing and then in burning, records its move;
+    with want_witness (the default) _witness sums them once at the end, on
+    one refinement, and with check_witness (the default) the identity is
+    then verified.  With want_witness=False None is returned in place of
+    the witness.  check_each_step verifies each event's move alone against
+    the divisor that event produced, with or without a witness.
     """
     if v0.kind == "v" and v0.where not in cx.model.vertices:
         raise InputError(f"unknown base vertex {v0}")
     start = d
-    d, moves = clear_debt(cx, d, v0, cap, want_witness=want_witness,
-                          check_each_step=check_each_step)
-    if moves is not None and check_each_step:
-        if not (start + _witness(cx, moves).divisor() == d):
-            raise McdivError("internal error: witness identity failed after debt")
+    d, moves = clear_debt(cx, d, v0, cap, check_each_step)
     steps = 0
-    while True:
-        res = burn(cx, d, v0)
-        if res.all_burnt:
-            break
-        d, _eps, mv = fire_cut(cx, d, res.cut, want_witness=want_witness)
-        if moves is not None:
-            moves.append(mv)
-            if check_each_step and not (start + _witness(cx, moves).divisor() == d):
-                raise McdivError("internal error: witness identity failed mid-run")
+    while (cut := burn(cx, d, v0)) is not None:
+        d = _fire(cx, d, cut, moves, False, check_each_step)
         steps += 1
         if steps > cap:
             raise BudgetError(f"reduction exceeded {cap} events")
-    if moves is None:
+    if not want_witness:
         return d, None
     wit = _witness(cx, moves)
     if check_witness and not (start + wit.divisor() == d):

@@ -242,11 +242,14 @@ class TestCommands:
          "--point: not a rational: 'abc'"),
         (["weierstrass", "--point", "e9:1/2"], "--point: unknown edge e9"),
         (["weierstrass", "--point", 'w@{"x": "0"}'], "--point: w carries no curve"),
+        (["eta", "--divisor", "D1", "--point", "u", "--k", "1"],
+         "--point: u carries a curve; give VERTEX@{json point}"),
+        (["weierstrass", "--point", "v"], "--point: v carries a curve; give VERTEX@{json point}"),
         (["reduce", "--divisor", "D1", "--base", "e9:1/2"], "--base: unknown edge e9"),
         (["reduce", "--divisor", "D1", "--base", "e1:1/x"], "--base: not a rational: '1/x'"),
         (["reduce", "--divisor", "D1", "--base", "w"], "--base: unknown vertex w"),
-    ], ids=["point-rational", "point-edge", "point-curve", "base-edge", "base-rational",
-            "base-vertex"])
+    ], ids=["point-rational", "point-edge", "point-curve", "point-eta-oracle-vertex",
+            "point-weierstrass-oracle-vertex", "base-edge", "base-rational", "base-vertex"])
     def test_point_errors_name_their_flag(self, argv, message, capsys):
         assert main([argv[0], str(THETA_JSON), *argv[1:]]) == 2
         assert capsys.readouterr().err == f"input error: {message}\n"

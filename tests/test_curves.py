@@ -16,7 +16,7 @@ from mcdiv.curves import (
     riemann_roch_audit,
 )
 from mcdiv.errors import AuditError, FieldTooSmallError, InputError
-from mcdiv.exact import INF, Fp, PrimeField, QQ
+from mcdiv.exact import INF, Fp, PrimeField, QQ, RationalFunc
 
 
 @pytest.fixture(scope="module")
@@ -71,9 +71,21 @@ class TestP1:
         assert all(d.degree() == -1 and self.o.curve_rank(d) == -1 for d in out)
 
     def test_principal_witness_roundtrip(self):
-        d = self.o.divisor((QQ.elem(2), 2), (QQ.elem(1), -1), (INF, -1))
-        f = self.o.principal_witness(d)
-        assert self.o.divisor_of(f) == d
+        """Over Q and F_5/F_7 the witness is already in RationalFunc.make's
+        canonical form (monic, coprime) and its divisor is d."""
+        for field in (QQ, PrimeField(5), PrimeField(7)):
+            o = P1Oracle(field)
+            x = field.elem
+            for pairs in (
+                [(x(2), 2), (x(1), -1), (INF, -1)],
+                [(x(0), 1), (x(3), 1), (x(4), -2)],
+                [(INF, 3), (x(1), -1), (x(2), -1), (x(0), -1)],
+                [(x(3), -2), (INF, 2)],
+            ):
+                d = o.divisor(*pairs)
+                f = o.principal_witness(d)
+                assert f == RationalFunc.make(f.num, f.den)
+                assert o.divisor_of(f) == d
 
     def test_audit(self):
         assert riemann_roch_audit(self.o).passed()

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from mcdiv import reduction
 from mcdiv.complexes import MetrizedComplex, as_trivial_complex, graphical_complex
 from mcdiv.curves import EllipticOracle, O_POINT, P1Oracle
-from mcdiv.errors import InputError
+from mcdiv.errors import InputError, McdivError
 from mcdiv.exact import PrimeField
 from mcdiv.io import parse_document
 from mcdiv.metric import GraphModel, PLFunction, Refinement
@@ -38,17 +38,17 @@ class TestBurn:
     def test_chip_at_base_all_burnt(self, segment):
         cx, g = segment
         v0 = g.vertex_point("v0")
-        assert burn(cx, cx.divisor(graph_pairs=[(v0, 1)]), v0).all_burnt
+        assert burn(cx, cx.divisor(graph_pairs=[(v0, 1)]), v0) is None
 
     def test_interior_chip_blocks(self, segment):
         cx, g = segment
         v0 = g.vertex_point("v0")
         m = g.point_on("e", Fraction(1, 2))
-        res = burn(cx, cx.divisor(graph_pairs=[(m, 1)]), v0)
-        assert not res.all_burnt
-        assert res.cut.nodes == {m, g.vertex_point("w")}
-        assert {x: len(s) for x, s in res.cut.fronts.items()} == {m: 1}
-        assert check_saturated(cx, cx.divisor(graph_pairs=[(m, 1)]), res.cut)
+        cut = burn(cx, cx.divisor(graph_pairs=[(m, 1)]), v0)
+        assert cut is not None
+        assert cut.nodes == {m, g.vertex_point("w")}
+        assert {x: len(s) for x, s in cut.fronts.items()} == {m: 1}
+        assert check_saturated(cx, cx.divisor(graph_pairs=[(m, 1)]), cut)
 
     def test_elliptic_vertex_burns_on_nonprincipal_remainder(self):
         # one edge between a projective line and a genus-one vertex;
@@ -67,8 +67,7 @@ class TestBurn:
             }
         )
         v0 = model.vertex_point("a")
-        res = burn(cx_, d, v0)
-        assert res.all_burnt
+        assert burn(cx_, d, v0) is None
 
     def test_elliptic_vertex_withstands_on_effective_class(self):
         field = PrimeField(5)
@@ -79,15 +78,15 @@ class TestBurn:
         marks = {"a": {("e", 0): field.elem(0)}, "b": {("e", 1): O_POINT}}
         cx_ = type(as_trivial_complex(model))(model, {"a": p1, "b": ell}, marks)
         d = cx_.divisor(curve_parts={"b": ell.divisor((pts[1], 1), (O_POINT, 1))})
-        res = burn(cx_, d, model.vertex_point("a"))
-        assert not res.all_burnt
+        cut = burn(cx_, d, model.vertex_point("a"))
+        assert cut is not None
         vb = model.vertex_point("b")
-        assert vb in res.cut.nodes
-        # blocking data: the part left after removing the burnt marked
-        # point, together with its (non-negative) rank
-        kind, remainder, r = reduction._blocking(cx_, d, vb, res.cut.fronts[vb])
-        assert kind == "curve" and r >= 0
-        assert remainder == d.curve_part("b") - ell.divisor((O_POINT, 1))
+        assert vb in cut.nodes
+        # b withstands: the part left after removing the burnt marked
+        # point has non-negative rank
+        assert reduction._withstands(cx_, d, vb, cut.fronts[vb])
+        remainder = d.curve_part("b") - ell.divisor((O_POINT, 1))
+        assert ell.curve_rank(remainder) >= 0
 
     def test_unnormalized_rejected(self, segment):
         cx, g = segment
@@ -96,50 +95,46 @@ class TestBurn:
             burn(cx, cx.divisor(graph_pairs=[(m, -1)]), g.vertex_point("v0"))
 
 
-def _fire(cx, d, cut, want_witness):
-    """fire_cut in either mode: the divisor of the move, summed alone, is
-    the change of the divisor, and without a witness the change is the same."""
-    d2, eps, mv = fire_cut(cx, d, cut, want_witness=want_witness)
-    if not want_witness:
-        assert mv is None
-        d_w, eps_w, mv = fire_cut(cx, d, cut, want_witness=True)
-        assert (d_w, eps_w) == (d2, eps)
+def _fire(cx, d, cut, debt_mode):
+    """fire_cut in either mode (debt_mode only skips the saturation check,
+    so a saturated cut fires the same): the divisor of the move, summed
+    alone, is the change of the divisor."""
+    d2, mv = fire_cut(cx, d, cut, debt_mode=debt_mode)
     assert d + reduction._witness(cx, [mv]).divisor() == d2
-    return d2, eps
+    return d2, mv.eps
 
 
-@pytest.mark.parametrize("want_witness", [True, False])
+@pytest.mark.parametrize("debt_mode", [True, False])
 class TestFireCut:
-    def test_interior_chip_moves_toward_base(self, segment, want_witness):
+    def test_interior_chip_moves_toward_base(self, segment, debt_mode):
         cx, g = segment
         v0 = g.vertex_point("v0")
         m = g.point_on("e", Fraction(1, 2))
         d = cx.divisor(graph_pairs=[(m, 1)])
-        res = burn(cx, d, v0)
-        d2, eps = _fire(cx, d, res.cut, want_witness)
+        d2, eps = _fire(cx, d, burn(cx, d, v0), debt_mode)
         assert eps == Fraction(1, 2)
         assert d2.graph.get(v0) == 1
 
-    def test_star_vertex_fires_marked_points(self, want_witness):
+    def test_star_vertex_fires_marked_points(self, debt_mode):
         cx = star_elliptic_complex()
         v0 = cx.model.vertex_point("l1")
         d = cx.divisor(curve_parts={"c": cx.marked_divisor("c")})
-        res = burn(cx, d, v0)
-        assert not res.all_burnt
-        d2, eps = _fire(cx, d, res.cut, want_witness)
+        cut = burn(cx, d, v0)
+        assert cut is not None
+        d2, eps = _fire(cx, d, cut, debt_mode)
         assert d2.degree() == d.degree()
 
-    def test_theta_cut_fires_both_slopes(self, want_witness):
+    def test_theta_cut_fires_both_slopes(self, debt_mode):
         model = theta_model()
         cx = graphical_complex(model)
         v0 = model.vertex_point("u")
         a = model.point_on("e1", Fraction(1, 4))
         b = model.point_on("e1", Fraction(3, 4))
         d = cx.divisor(graph_pairs=[(a, 1), (b, 1)])
-        res = burn(cx, d, v0)
-        assert not res.all_burnt
-        assert {x: len(s) for x, s in res.cut.fronts.items()} == {a: 1, b: 1}
-        d2, eps = _fire(cx, d, res.cut, want_witness)
+        cut = burn(cx, d, v0)
+        assert cut is not None
+        assert {x: len(s) for x, s in cut.fronts.items()} == {a: 1, b: 1}
+        d2, eps = _fire(cx, d, cut, debt_mode)
         assert d2.graph.get(a) == 0 and d2.graph.get(b) == 0
 
 
@@ -203,7 +198,7 @@ class TestReduce:
             if cx.model.vertex_point(v) != v0:
                 assert cx.oracles[v].curve_rank(red.curve_part(v)) >= 0
         # (iii) burning consumes everything
-        assert burn(cx, red, v0).all_burnt
+        assert burn(cx, red, v0) is None
         assert k + wit.divisor() == red
 
     def test_idempotent(self, rng):
@@ -237,7 +232,7 @@ class TestReduce:
         d = cx.divisor(graph_pairs=[(model.vertex_point("u"), 2)])
         red, wit = reduce_divisor(cx, d, v0)
         assert d + wit.divisor() == red
-        assert burn(cx, red, v0).all_burnt
+        assert burn(cx, red, v0) is None
 
 
 class TestClassicalCrossCheck:
@@ -365,11 +360,10 @@ class TestFastPathAgrees:
         cx, d = case
         original = reduction.fire_cut
 
-        def checked_fire_cut(cx_, d_, cut, *args, want_witness=True, **kwargs):
-            d_new, eps, mv = original(cx_, d_, cut, *args, want_witness=want_witness, **kwargs)
-            if want_witness:
-                assert d_ + reduction._witness(cx_, [mv]).divisor() == d_new
-            return d_new, eps, mv
+        def checked_fire_cut(cx_, d_, cut, *args, **kwargs):
+            d_new, mv = original(cx_, d_, cut, *args, **kwargs)
+            assert d_ + reduction._witness(cx_, [mv]).divisor() == d_new
+            return d_new, mv
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(reduction, "fire_cut", checked_fire_cut)
@@ -402,7 +396,7 @@ class TestWitnessSum:
 
         def recording_fire_cut(*args, **kwargs):
             out = original(*args, **kwargs)
-            moves.append(out[2])
+            moves.append(out[1])
             return out
 
         with pytest.MonkeyPatch.context() as mp:
@@ -508,10 +502,10 @@ class TestCutFronts:
         burn_, fire_cut_ = reduction.burn, reduction.fire_cut
 
         def recording_burn(*args, **kwargs):
-            res = burn_(*args, **kwargs)
-            if not res.all_burnt:
-                cuts.append(res.cut)
-            return res
+            cut = burn_(*args, **kwargs)
+            if cut is not None:
+                cuts.append(cut)
+            return cut
 
         def recording_fire_cut(cx_, d_, cut, debt_mode=False, **kwargs):
             if debt_mode:
@@ -566,3 +560,62 @@ class TestEventCounts:
         cx = doc.complex
         reduce_divisor(cx, doc.divisors["D2"], cx.model.vertex_point("u"))
         assert counted == {"burn": 2, "fire_cut": 1}
+
+
+def _two_phase_case():
+    """A divisor on the theta complex with P1 curves whose reduction at u
+    fires two debt events and then two burn events."""
+    model = theta_model()
+    cx = as_trivial_complex(model)
+    a = model.point_on("e1", Fraction(1, 3))
+    b = model.point_on("e2", Fraction(1, 2))
+    c = model.point_on("e3", Fraction(2, 3))
+    return cx, cx.divisor(graph_pairs=[(a, 3), (b, -2), (c, 1)]), model.vertex_point("u"), a
+
+
+class TestEachStepCheck:
+    """check_each_step verifies every firing event on its own, against the
+    divisor that event produced, with or without a witness."""
+
+    @pytest.mark.parametrize("want_witness", [True, False])
+    @pytest.mark.parametrize("debt_phase", [True, False], ids=["debt", "burn"])
+    def test_corrupted_event_caught(self, debt_phase, want_witness):
+        cx, d, v0, a = _two_phase_case()
+        original = reduction.fire_cut
+        seen = []
+
+        def corrupting_fire_cut(cx_, d_, cut, debt_mode=False):
+            d_new, mv = original(cx_, d_, cut, debt_mode=debt_mode)
+            if debt_mode == debt_phase:
+                seen.append(mv)
+                if len(seen) == 2:
+                    d_new = d_new + cx_.divisor(graph_pairs=[(a, 1)])
+            return d_new, mv
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(reduction, "fire_cut", corrupting_fire_cut)
+            with pytest.raises(McdivError, match="firing event"):
+                reduce_divisor(cx, d, v0, want_witness=want_witness, check_each_step=True)
+        assert len(seen) == 2
+
+    def test_each_event_summed_once_alone(self):
+        cx, d, v0, _a = _two_phase_case()
+        fire_cut_, witness_ = reduction.fire_cut, reduction._witness
+        events, summed = [], []
+
+        def counting_fire_cut(*args, **kwargs):
+            events.append(1)
+            return fire_cut_(*args, **kwargs)
+
+        def counting_witness(cx_, moves):
+            summed.append(len(moves))
+            return witness_(cx_, moves)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(reduction, "fire_cut", counting_fire_cut)
+            mp.setattr(reduction, "_witness", counting_witness)
+            red, wit = reduce_divisor(cx, d, v0, check_each_step=True)
+        assert d + wit.divisor() == red
+        assert len(events) == 4
+        assert sum(summed) == 2 * len(events)
+        assert summed == [1] * len(events) + [len(events)]
