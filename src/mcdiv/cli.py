@@ -1,8 +1,10 @@
 """Command-line front end: deterministic reports over document files.
 
 Exit codes: 0 success, 1 computation error, 2 input error, 3 audit
-failure.  Reports start with a machine-readable block of `key: value`
-lines; --format json emits one JSON object instead.
+failure.  Each command returns its report block and exit code (and
+moderator-audit some prose); `main` alone prints them.  Reports start with
+a machine-readable block of `key: value` lines; --format json emits one
+JSON object instead.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from .rank import (
     rr_audit,
 )
 from .errors import AuditError, BudgetError, InputError, McdivError
-from .io import _at, divisor_json, parse_document, parse_rational
+from .io import _at, divisor_json, parse_document, parse_place, parse_rational
 
 
 def _load(path):
@@ -44,15 +46,11 @@ def _parse_point(cx, spec):
     """Point syntax: 'vertex' | 'edge:offset' | 'vertex@{json point}'."""
     if "@" in spec:
         vname, raw = spec.split("@", 1)
-        if not cx.is_oracle_vertex(vname):
-            raise InputError(f"--point: {vname} carries no curve")
-        from .io import parse_curve_point
-
         try:
             obj = json.loads(raw)
         except json.JSONDecodeError as err:
             raise InputError(f"--point: not valid JSON after '@': {err}") from None
-        return (vname, parse_curve_point(cx.oracles[vname], obj, "--point"))
+        return parse_place(cx, {"vertex": vname, "point": obj}, "--point")
     x = _parse_base(cx, spec, "--point")
     if x.kind == "v" and cx.is_oracle_vertex(x.where):
         raise InputError(f"--point: {x.where} carries a curve; give VERTEX@{{json point}}")
@@ -68,35 +66,30 @@ def _need_divisor(doc, args):
     return doc.divisors[name]
 
 
-def _emit(args, block, prose=""):
-    if args.format == "json":
-        print(json.dumps(block, sort_keys=True))
-    else:
-        for k, v in block.items():
-            print(f"{k}: {v}")
-        if prose:
-            print()
-            print(prose)
+def _audited(args, block, value, direct):
+    """The report and exit code of a command whose --audit recomputes its
+    value another way: `direct()` goes in the block with their agreement,
+    and a disagreement exits 3."""
+    if not args.audit:
+        return block, 0
+    block["direct"] = other = direct()
+    block["agreement"] = "ok" if other == value else "FAIL"
+    return block, 0 if other == value else 3
 
 
 def cmd_rank(doc, args):
     d = _need_divisor(doc, args)
     r = rank_of(doc.complex, d, seed=args.seed, audit=args.audit)
-    _emit(args, {"rank": r, "degree": d.degree(), "genus": doc.complex.genus()})
-    return 0
+    return {"rank": r, "degree": d.degree(), "genus": doc.complex.genus()}, 0
 
 
 def cmd_canonical(doc, args):
     k = doc.complex.canonical()
-    _emit(
-        args,
-        {
-            "degree": k.degree(),
-            "genus": doc.complex.genus(),
-            "divisor": json.dumps(divisor_json(doc.complex, k), sort_keys=True),
-        },
-    )
-    return 0
+    return {
+        "degree": k.degree(),
+        "genus": doc.complex.genus(),
+        "divisor": json.dumps(divisor_json(doc.complex, k), sort_keys=True),
+    }, 0
 
 
 def cmd_reduce(doc, args):
@@ -106,16 +99,12 @@ def cmd_reduce(doc, args):
     v0 = _parse_base(doc.complex, args.base, "--base")
     cap = reduction.DEFAULT_EVENT_CAP if args.budget is None else args.budget
     red, wit = reduction.reduce_divisor(doc.complex, d, v0, cap=cap)
-    _emit(
-        args,
-        {
-            "reduced": json.dumps(divisor_json(doc.complex, red), sort_keys=True),
-            "witness-breakpoints": len(wit.f_gamma.values),
-            "witness-curve-shifts": len(wit.witnesses),
-            "identity": "ok",
-        },
-    )
-    return 0
+    return {
+        "reduced": json.dumps(divisor_json(doc.complex, red), sort_keys=True),
+        "witness-breakpoints": len(wit.f_gamma.values),
+        "witness-curve-shifts": len(wit.witnesses),
+        "identity": "ok",
+    }, 0
 
 
 def cmd_rr_check(doc, args):
@@ -128,8 +117,7 @@ def cmd_rr_check(doc, args):
         "genus": rep.data["genus"],
         "identity": "ok" if rep.passed() else "FAIL",
     }
-    _emit(args, block)
-    return 0 if rep.passed() else 3
+    return block, 0 if rep.passed() else 3
 
 
 def cmd_clifford_check(doc, args):
@@ -140,8 +128,7 @@ def cmd_clifford_check(doc, args):
         block["rank"] = rep.data["rank"]
         block["degree"] = rep.data["deg"]
         block["bound"] = "ok" if rep.passed() else "FAIL"
-    _emit(args, block)
-    return 0 if rep.passed() else 3
+    return block, 0 if rep.passed() else 3
 
 
 def cmd_eta(doc, args):
@@ -151,9 +138,7 @@ def cmd_eta(doc, args):
     x = _parse_point(doc.complex, args.point)
     kmax = args.k if args.k is not None else 3
     fn = decomposition.EtaFunction(doc.complex, d, x, seed=args.seed)
-    vals = {f"eta({k})": fn(k) for k in range(kmax + 1)}
-    _emit(args, vals)
-    return 0
+    return {f"eta({k})": fn(k) for k in range(kmax + 1)}, 0
 
 
 def cmd_wrank(doc, args):
@@ -164,55 +149,25 @@ def cmd_wrank(doc, args):
         raise InputError("missing or unknown --divisor NAME (inside the weighted graph)")
     d = divisors[args.divisor]
     val = decomposition.weighted_rank(wg, d, seed=args.seed)
-    block = {"weighted-rank": val, "degree": d.degree()}
-    if args.audit:
-        direct = decomposition.sharp_rank(wg, d, seed=args.seed)
-        block["direct"] = direct
-        block["agreement"] = "ok" if direct == val else "FAIL"
-        _emit(args, block)
-        return 0 if direct == val else 3
-    _emit(args, block)
-    return 0
+    return _audited(args, {"weighted-rank": val, "degree": d.degree()}, val,
+                    lambda: decomposition.sharp_rank(wg, d, seed=args.seed))
 
 
 def cmd_glue_rank(doc, args):
-    if doc.complex2 is None or doc.glue_spec is None:
+    if doc.glue is None:
         raise InputError("document needs 'complex2' and 'glue' sections")
-    from .io import parse_curve_point, parse_graph_point
-
-    def attach(cx, spec, path):
-        if isinstance(spec, dict) and "point" in spec:
-            v = spec.get("vertex")
-            if not cx.is_oracle_vertex(v):
-                raise InputError(f"{path}: {v} carries no curve")
-            return (v, parse_curve_point(cx.oracles[v], spec["point"], path))
-        x = parse_graph_point(cx.model, spec, path)
-        if x.kind == "v" and cx.is_oracle_vertex(x.where):
-            raise InputError(f"{path}: {x.where} carries a curve; give a 'point' on it")
-        return x
-
-    x1 = attach(doc.complex, doc.glue_spec.get("x1", {}), "glue.x1")
-    x2 = attach(doc.complex2, doc.glue_spec.get("x2", {}), "glue.x2")
-    length = parse_rational(doc.glue_spec.get("length", 1), "glue.length")
-    if length <= 0:
-        raise InputError(f"glue.length: bridge length must be positive, got {length}")
+    x1, x2, length = doc.glue
     d1 = _need_divisor(doc, args)
     d2 = doc.complex2.zero_divisor()
     formula = decomposition.connected_sum_rank(
         doc.complex, d1, x1, doc.complex2, d2, x2, seed=args.seed
     )
-    block = {"formula-rank": formula}
-    if args.audit:
+
+    def direct():
         glued = decomposition.glue(doc.complex, x1, doc.complex2, x2, length)
-        direct = rank_of(
-            glued.complex, glued.lift(1, d1) + glued.lift(2, d2), seed=args.seed
-        )
-        block["direct"] = direct
-        block["agreement"] = "ok" if direct == formula else "FAIL"
-        _emit(args, block)
-        return 0 if direct == formula else 3
-    _emit(args, block)
-    return 0
+        return rank_of(glued.complex, glued.lift(1, d1) + glued.lift(2, d2), seed=args.seed)
+
+    return _audited(args, {"formula-rank": formula}, formula, direct)
 
 
 def cmd_limit_check(doc, args):
@@ -227,16 +182,14 @@ def cmd_limit_check(doc, args):
         not isinstance(a, limitseries.VanishingTable)
         for a in spec["aspects"].values()
     )
-    if explicit:
-        rep = limitseries.limit_equiv_audit(
-            doc.complex, spec["aspects"], spec["root"], spec["degree"], spec["rank"]
-        )
-        block["restricted-rank"] = rep.data["restricted_rank"]
-        block["biconditional"] = "ok" if rep.passed() else "FAIL"
-        _emit(args, block)
-        return 0 if rep.passed() else 3
-    _emit(args, block)
-    return 0
+    if not explicit:
+        return block, 0
+    rep = limitseries.limit_equiv_audit(
+        doc.complex, spec["aspects"], spec["root"], spec["degree"], spec["rank"]
+    )
+    block["restricted-rank"] = rep.data["restricted_rank"]
+    block["biconditional"] = "ok" if rep.passed() else "FAIL"
+    return block, 0 if rep.passed() else 3
 
 
 def cmd_moderator_audit(doc, args):
@@ -259,8 +212,7 @@ def cmd_moderator_audit(doc, args):
         "failures": len(bad),
         "status": "ok" if not bad else "FAIL",
     }
-    _emit(args, block, prose="\n".join(f"{k}: {w}" for k, w in bad[:5]))
-    return 0 if not bad else 3
+    return block, 0 if not bad else 3, "\n".join(f"{k}: {w}" for k, w in bad[:5])
 
 
 def cmd_bn_search(doc, args):
@@ -275,12 +227,10 @@ def cmd_bn_search(doc, args):
     block = {"genus": g, "rho": rho, "tried": tried}
     if witness is None:
         block["found"] = "no"
-        _emit(args, block)
-        return 0 if rho < 0 else 1
+        return block, 0 if rho < 0 else 1
     block["found"] = "yes"
     block["witness"] = json.dumps(divisor_json(doc.complex, witness), sort_keys=True)
-    _emit(args, block)
-    return 0
+    return block, 0
 
 
 def cmd_weierstrass(doc, args):
@@ -288,8 +238,7 @@ def cmd_weierstrass(doc, args):
         raise InputError("missing --point")
     pt = _parse_point(doc.complex, args.point)
     val = is_weierstrass(doc.complex, pt, seed=args.seed)
-    _emit(args, {"weierstrass": "yes" if val else "no"})
-    return 0
+    return {"weierstrass": "yes" if val else "no"}, 0
 
 
 COMMANDS = {
@@ -340,8 +289,7 @@ def main(argv=None) -> int:
         doc = _load(args.file)
         if args.seed is None:
             args.seed = doc.seed
-        code = COMMANDS[args.command](doc, args)
-        return code
+        block, code, *prose = COMMANDS[args.command](doc, args)
     except InputError as err:
         print(f"input error: {err}", file=sys.stderr)
         return 2
@@ -351,6 +299,14 @@ def main(argv=None) -> int:
     except (BudgetError, McdivError) as err:
         print(f"computation error: {err}", file=sys.stderr)
         return 1
+    if args.format == "json":
+        print(json.dumps(block, sort_keys=True))
+        return code
+    for k, v in block.items():
+        print(f"{k}: {v}")
+    if any(prose):
+        print(f"\n{prose[0]}")
+    return code
 
 
 if __name__ == "__main__":

@@ -23,7 +23,7 @@ class MetrizedComplex:
     """A loopless model, per-vertex curve oracles, and a bijection between
     edge ends at each oracle vertex and marked points of its curve."""
 
-    def __init__(self, model: GraphModel, oracles=None, marks=None, lift_points=None):
+    def __init__(self, model: GraphModel, oracles=None, marks=None):
         self.model = model
         self.oracles = dict(oracles or {})
         self.marks = {v: dict(m) for v, m in (marks or {}).items()}
@@ -42,9 +42,6 @@ class MetrizedComplex:
                 o.validate_point(p)
             if len({o.point_key(p) for p in pts}) != len(pts):
                 raise InputError(f"vertex {v}: marked points must be distinct")
-        self.lift_points = dict(lift_points or {})
-        for v, p in self.lift_points.items():
-            self.oracles[v].validate_point(p)
         # memo tables of the rank engine; they only ever gain entries
         self.nonneg_memo = {}  # (rest key, base point) -> what reduction leaves there
         self.shortcut_validated = False
@@ -80,9 +77,7 @@ class MetrizedComplex:
 
     def lift_point(self, v):
         """Deterministic curve point used to lift graph chips onto C_v: the
-        declared one, or else the first unmarked sample point."""
-        if v in self.lift_points:
-            return self.lift_points[v]
+        first unmarked sample point."""
         return self.oracles[v].sample_points(1, avoid=list(self.marks[v].values()))[0]
 
     # -- divisors ----------------------------------------------------------
@@ -397,10 +392,9 @@ def regularize(desc: NodalCurveDescription) -> MetrizedComplex:
 
 def as_trivial_complex(model: GraphModel, field=QQ) -> MetrizedComplex:
     """Attach a projective line at every vertex, with distinct marked points;
-    the extra sample point per vertex is the divisor lift point."""
+    the field must leave one more point per vertex, the divisor lift point."""
     oracles = {}
     marks = {}
-    lifts = {}
     for v in model.vertices:
         o = P1Oracle(field)
         deg = model.degree(v)
@@ -409,8 +403,7 @@ def as_trivial_complex(model: GraphModel, field=QQ) -> MetrizedComplex:
         marks[v] = {}
         for (e, end), p in zip(model.incident_edges(v), pts):
             marks[v][(e.name, end)] = p
-        lifts[v] = pts[deg]
-    return MetrizedComplex(model, oracles, marks, lifts)
+    return MetrizedComplex(model, oracles, marks)
 
 
 def graphical_complex(model: GraphModel) -> MetrizedComplex:

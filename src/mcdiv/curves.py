@@ -111,6 +111,14 @@ class CurveOracle:
     def sample_points(self, count, avoid=()):  # pragma: no cover
         raise NotImplementedError
 
+    def pool(self, count, avoid=()):
+        """`count` sample points off `avoid`, or a single sample point on a
+        curve with too few."""
+        try:
+            return self.sample_points(count, avoid)
+        except FieldTooSmallError:
+            return self.sample_points(1)
+
     def minimal_nonspecial_sample(self, pool):  # pragma: no cover
         raise NotImplementedError
 
@@ -633,10 +641,7 @@ def riemann_roch_audit(oracle: CurveOracle):
     g = oracle.genus
     k_div = oracle.canonical_divisor()
     rep.record("canonical degree", k_div.degree() == 2 * g - 2, repr(k_div))
-    try:
-        pool = oracle.sample_points(max(g + 2, 3))
-    except FieldTooSmallError:
-        pool = oracle.sample_points(1)
+    pool = oracle.pool(max(g + 2, 3))
     divisors = [oracle.zero_divisor(), k_div]
     for _ in range(24):
         d = {}

@@ -12,9 +12,9 @@ from fractions import Fraction
 
 from .complexes import ComplexDivisor, MetrizedComplex, graphical_complex
 from .curves import CurveOracle
-from .errors import BudgetError, FieldTooSmallError, InputError
+from .errors import BudgetError, InputError
 from .metric import GraphDivisor, GraphModel, GraphPoint
-from .rank import point_divisor, rank
+from .rank import edge_grid, point_divisor, rank
 
 
 class EtaFunction:
@@ -109,13 +109,26 @@ class GluedComplex:
         return (self.vertex_map[(side, v)], p)
 
 
-def glue(cx1, x1, cx2, x2, bridge_length=Fraction(1)) -> GluedComplex:
-    """Join two complexes with a bridge between attachment points.
+def check_attachment(cx, x):
+    """Refuse a place x of cx that cannot end a bridge: one end attaches at
+    a graphical model vertex, or at a curve point of an oracle vertex that
+    is none of its marked points (it becomes the bridge end's mark)."""
+    if isinstance(x, GraphPoint):
+        if x.kind != "v":
+            raise InputError("attach at a model vertex or a curve point")
+        if cx.is_oracle_vertex(x.where):
+            raise InputError(f"{x.where} carries a curve; attach at a curve point")
+        return
+    v, p = x
+    o = cx.oracles[v]
+    o.validate_point(p)
+    if any(o.point_key(q) == o.point_key(p) for q in cx.marks[v].values()):
+        raise InputError(f"attachment point collides with a marked point at {v}")
 
-    Attachment points are curve points on oracle vertices (they become
-    marked points of the bridge end; collisions with existing marks are
-    rejected) or graphical model vertices.
-    """
+
+def glue(cx1, x1, cx2, x2, bridge_length=Fraction(1)) -> GluedComplex:
+    """Join two complexes with a bridge between attachment points, each
+    checked by `check_attachment`."""
     bridge_length = Fraction(bridge_length)
     if bridge_length <= 0:
         raise InputError("bridge length must be positive")
@@ -133,18 +146,10 @@ def glue(cx1, x1, cx2, x2, bridge_length=Fraction(1)) -> GluedComplex:
             edges.append((ne, vmap[(side, e.u)], vmap[(side, e.v)], e.length))
 
     def attach_vertex(side, cx, x):
+        check_attachment(cx, x)
         if isinstance(x, GraphPoint):
-            if x.kind != "v":
-                raise InputError("attach at a model vertex or a curve point")
-            if cx.is_oracle_vertex(x.where):
-                raise InputError("vertex carries a curve; attach at a curve point")
             return vmap[(side, x.where)], None
-        v, p = x
-        cx.oracles[v].validate_point(p)
-        for q in cx.marks[v].values():
-            if cx.oracles[v].point_key(q) == cx.oracles[v].point_key(p):
-                raise InputError(f"attachment point collides with a marked point at {v}")
-        return vmap[(side, v)], p
+        return vmap[(side, x[0])], x[1]
 
     a1, p1 = attach_vertex(1, cx1, x1)
     a2, p2 = attach_vertex(2, cx2, x2)
@@ -343,20 +348,8 @@ def bn_grid(cx):
     for v in cx.oracle_vertices():
         o = cx.oracles[v]
         marked = list(cx.marks[v].values())
-        try:
-            samples = o.sample_points(o.genus + 2, avoid=marked)
-        except FieldTooSmallError:
-            samples = o.sample_points(1)
-        pts.extend((v, p) for p in samples)
-    for name, e in sorted(cx.model.edges.items()):
-        seen = set()
-        for q in range(2, 5):
-            for j in range(1, q):
-                off = e.length * Fraction(j, q)
-                if off not in seen:
-                    seen.add(off)
-                    pts.append(cx.model.point_on(name, off))
-    return pts
+        pts.extend((v, p) for p in o.pool(o.genus + 2, avoid=marked))
+    return pts + edge_grid(cx.model, 4)
 
 
 def bn_search(cx, d: int, r: int, budget=2000, seed=0):

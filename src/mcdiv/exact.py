@@ -368,10 +368,6 @@ class RationalFunc:
             den = den.scale(inv)
         return RationalFunc(num, den)
 
-    @staticmethod
-    def const(field, c):
-        return RationalFunc.make(Poly.const(field, c), Poly.const(field, 1))
-
     @property
     def field(self):
         return self.den.field

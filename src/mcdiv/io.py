@@ -13,7 +13,7 @@ from functools import partial
 
 from .complexes import MetrizedComplex
 from .curves import EllipticOracle, O_POINT, P1Oracle, TableOracle
-from .decomposition import WeightedGraph
+from .decomposition import WeightedGraph, check_attachment
 from .errors import InputError
 from .exact import INF, Fp, Poly, PrimeField, QQ, RationalFunc
 from .limitseries import Aspect, FunctionSpace, VanishingTable
@@ -135,6 +135,18 @@ def parse_graph_point(model: GraphModel, obj, path):
     _fail(path, "graph point wants {'vertex': ...} or {'edge':.., 'offset':..}")
 
 
+def parse_place(cx, obj, path):
+    """A place of cx: {"vertex": V, "point": {...}} for a point on the curve
+    at V, else a graph point."""
+    with _at(path):
+        if isinstance(obj, dict) and "point" in obj:
+            v = obj.get("vertex")
+            if not cx.is_oracle_vertex(v):
+                _fail(path, f"{v} carries no curve")
+            return (v, parse_curve_point(cx.oracles[v], obj["point"], path))
+        return parse_graph_point(cx.model, obj, path)
+
+
 def graph_point_json(p):
     if p.kind == "v":
         return {"vertex": p.where}
@@ -202,7 +214,7 @@ class Document:
     weighted: dict = field(default_factory=dict)
     limit_series: dict = field(default_factory=dict)
     complex2: MetrizedComplex | None = None
-    glue_spec: dict | None = None
+    glue: tuple | None = None  # (place on complex, place on complex2, bridge length)
     seed: int = 0
 
 
@@ -333,9 +345,7 @@ def parse_document(text: str) -> Document:
     if "complex2" in raw:
         doc.complex2 = _parse_complex(raw["complex2"], "complex2")
     if "glue" in raw:
-        if not isinstance(raw["glue"], dict):
-            _fail("glue", "glue wants an object with 'x1', 'x2' and 'length'")
-        doc.glue_spec = raw["glue"]
+        doc.glue = _parse_glue(raw["glue"], cx, doc.complex2)
     for name, obj in _section(raw, "divisors"):
         doc.divisors[name] = _parse_divisor(cx, obj, f"divisors.{name}")
     for name, obj in _section(raw, "weighted_graphs"):
@@ -354,6 +364,23 @@ def parse_document(text: str) -> Document:
         with _at(p):
             doc.limit_series[name] = _parse_limit_series(cx, obj, p)
     return doc
+
+
+def _parse_glue(obj, cx1, cx2):
+    if not isinstance(obj, dict):
+        _fail("glue", "glue wants an object with 'x1', 'x2' and 'length'")
+    if cx2 is None:
+        _fail("glue", "glue joins 'complex' to 'complex2', which is missing")
+    places = []
+    for key, cx in (("x1", cx1), ("x2", cx2)):
+        x = parse_place(cx, obj.get(key), f"glue.{key}")
+        with _at(f"glue.{key}"):
+            check_attachment(cx, x)
+        places.append(x)
+    length = parse_rational(obj.get("length", 1), "glue.length")
+    if length <= 0:
+        _fail("glue.length", f"bridge length must be positive, got {length}")
+    return (*places, length)
 
 
 def _parse_limit_series(cx, obj, p):

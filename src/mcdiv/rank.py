@@ -259,10 +259,7 @@ def nonspecial_pools(cx):
     pools = {}
     for v in cx.oracle_vertices():
         o = cx.oracles[v]
-        try:
-            pools[v] = o.sample_points(o.genus + 2)
-        except FieldTooSmallError:
-            pools[v] = o.sample_points(1)
+        pools[v] = o.pool(o.genus + 2)
     return pools
 
 
@@ -359,16 +356,21 @@ def is_weierstrass(cx, pt, seed=0) -> bool:
     return rank(cx, point_divisor(cx, pt, g), seed=seed) >= 1
 
 
+def edge_grid(model, qmax):
+    """The interior points at j/q of each edge for 2 <= q <= qmax, each
+    once, edge by edge in name order."""
+    pts = []
+    for name, e in sorted(model.edges.items()):
+        offsets = (e.length * j / q for q in range(2, qmax + 1) for j in range(1, q))
+        pts.extend(model.point_on(name, off) for off in dict.fromkeys(offsets))
+    return pts
+
+
 def weierstrass_grid(cx):
     """Search grid: the rank-determining places (graphical vertices and
     sampled curve points), then the interior edge points at 1/2, 1/3 and
     2/3 of each edge."""
-    pts = rank_determining_sites(cx)
-    for name, e in sorted(cx.model.edges.items()):
-        for q in (2, 3):
-            for j in range(1, q):
-                pts.append(cx.model.point_on(name, e.length * j / q))
-    return pts
+    return rank_determining_sites(cx) + edge_grid(cx.model, 3)
 
 
 def find_weierstrass(cx, seed=0):

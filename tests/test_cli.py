@@ -32,6 +32,15 @@ GLUE_DOC = {
     "divisors": {"D1": {"curves": {"s": [[{"x": "0"}, 2]]}}},
 }
 
+# GLUE_DOC whose first piece has an edge, so that x1 can be an interior
+# edge point or the marked point of s
+GLUE_EDGE_DOC = dict(GLUE_DOC, complex={
+    "vertices": [{"name": "s", "oracle": {"type": "p1", "field": "Q"},
+                  "marks": {"e:0": {"x": "0"}}},
+                 {"name": "w"}],
+    "edges": [{"name": "e", "ends": ["s", "w"], "length": "1"}],
+})
+
 THETA_DOC = {
     "format": 1,
     "seed": 0,
@@ -114,6 +123,32 @@ REDUCE_REPORTS = [
     ("K", "e2:1/3", '{"curves": {}, "graph": [[{"edge": "e2", "offset": "1/3"}, 1], '
                     '[{"edge": "e2", "offset": "2/3"}, 1]]}', 4, 2),
 ]
+
+
+# every command once: (document, argv after the file name, exit code)
+REPORT_CASES = {
+    "rank": ("theta", ["rank", "--divisor", "K"], 0),
+    "reduce": ("theta", ["reduce", "--divisor", "D2", "--base", "e2:1/3"], 0),
+    "rr-check": ("theta", ["rr-check", "--divisor", "D1"], 0),
+    "clifford-check": ("theta", ["clifford-check", "--divisor", "K"], 0),
+    "eta": ("theta", ["eta", "--divisor", "D1", "--point", "e1:1/4", "--k", "2"], 0),
+    "wrank": ("theta", ["wrank", "--weighted", "W", "--divisor", "D", "--audit"], 0),
+    "glue-rank": ("glue", ["glue-rank", "--divisor", "D1", "--audit"], 0),
+    "limit-check": ("limit", ["limit-check", "--series", "L"], 0),
+    "canonical": ("theta", ["canonical"], 0),
+    "moderator-audit": ("theta", ["moderator-audit", "--budget", "4"], 0),
+    "bn-search": ("theta", ["bn-search", "--d", "2", "--r", "1"], 0),
+    "bn-search-budget-spent": ("theta", ["bn-search", "--d", "2", "--r", "1", "--budget", "1"], 1),
+    "weierstrass": ("theta", ["weierstrass", "--point", "e1:1/2"], 0),
+}
+
+
+def _doc_file(name, tmp_path):
+    if name == "theta":
+        return str(THETA_JSON)
+    f = tmp_path / f"{name}.json"
+    f.write_text(json.dumps({"glue": GLUE_DOC, "limit": LIMIT_DOC}[name]))
+    return str(f)
 
 
 @pytest.fixture
@@ -296,6 +331,43 @@ class TestCommands:
         assert main(["glue-rank", str(f), "--divisor", "D1"]) == 2
         assert capsys.readouterr().err.startswith(f"input error: {where}: ")
 
+    @pytest.mark.parametrize("doc, command, message", [
+        (dict(GLUE_EDGE_DOC, glue=dict(GLUE_DOC["glue"], x1={"edge": "e", "offset": "1/2"})),
+         "glue-rank", "glue.x1: attach at a model vertex or a curve point\n"),
+        (dict(GLUE_EDGE_DOC, glue=dict(GLUE_DOC["glue"], x1={"vertex": "s", "point": {"x": "0"}})),
+         "glue-rank", "glue.x1: attachment point collides with a marked point at s\n"),
+        (dict(GLUE_EDGE_DOC, glue=dict(GLUE_DOC["glue"], x1={"edge": "e", "offset": "1/2"})),
+         "canonical", "glue.x1: "),
+        ({k: v for k, v in GLUE_DOC.items() if k != "complex2"}, "glue-rank", "glue: "),
+        (dict(GLUE_DOC, glue=dict(GLUE_DOC["glue"], x1={"vertex": [], "point": {"x": "1"}})),
+         "glue-rank", "glue.x1: "),
+    ], ids=["interior-edge-point", "marked-point", "canonical-reads-glue", "no-complex2",
+            "vertex-not-a-name"])
+    def test_glue_attachment_checked_when_read(self, tmp_path, capsys, doc, command, message):
+        f = tmp_path / "glue.json"
+        f.write_text(json.dumps(doc))
+        assert main([command, str(f), "--divisor", "D1"]) == 2
+        assert capsys.readouterr().err.startswith(f"input error: {message}")
+
+    def test_glue_edge_doc_attaches_off_its_marks(self, tmp_path, capsys):
+        for x1 in ({"vertex": "s", "point": {"x": "1"}}, {"vertex": "w"}):
+            f = tmp_path / "glue.json"
+            f.write_text(json.dumps(dict(GLUE_EDGE_DOC, glue=dict(GLUE_DOC["glue"], x1=x1))))
+            assert main(["glue-rank", str(f), "--divisor", "D1", "--audit"]) == 0, x1
+            assert "agreement: ok" in capsys.readouterr().out
+
+
+class TestReports:
+    @pytest.mark.parametrize("case", sorted(REPORT_CASES))
+    def test_text_and_json_reports_agree(self, case, tmp_path, capsys):
+        doc, argv, code = REPORT_CASES[case]
+        argv = [argv[0], _doc_file(doc, tmp_path), *argv[1:]]
+        assert main(argv) == code
+        block = capsys.readouterr().out.split("\n\n")[0].splitlines()
+        assert main([*argv, "--format", "json"]) == code
+        report = json.loads(capsys.readouterr().out.splitlines()[0])
+        assert dict(line.split(": ", 1) for line in block) == {k: str(v) for k, v in report.items()}
+
 
 # mutations of scripts/theta.json that used to end in a traceback, with the
 # document path the error message must start with
@@ -369,18 +441,29 @@ class TestMalformedDocuments:
     @settings(max_examples=150, deadline=None)
     @given(data=st.data())
     def test_mutated_theta_never_raises(self, tmp_path_factory, data):
-        doc = json.loads(THETA_JSON.read_text())
-        path = data.draw(st.sampled_from(sorted(_node_paths(doc), key=repr)))
-        parent = doc
-        for k in path[:-1]:
-            parent = parent[k]
-        if data.draw(st.booleans()):
-            del parent[path[-1]]
-        else:
-            parent[path[-1]] = data.draw(JSON_VALUES)
-        code, err = _run_canonical(doc, tmp_path_factory.getbasetemp())
-        # a mutation may leave a valid document; otherwise the error names
-        # where in the document it lies
-        assert code in (0, 2), err
-        if code == 2:
-            assert re.match(r"input error: (document|format|seed|complex|divisors|weighted_graphs)\S*: ", err), err
+        _mutate_and_check(data, json.loads(THETA_JSON.read_text()), tmp_path_factory.getbasetemp())
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_mutated_glue_doc_never_raises(self, tmp_path_factory, data):
+        _mutate_and_check(data, json.loads(json.dumps(GLUE_DOC)), tmp_path_factory.getbasetemp())
+
+
+def _mutate_and_check(data, doc, where):
+    """Delete or replace one drawn value of doc, then run `canonical` on it."""
+    path = data.draw(st.sampled_from(sorted(_node_paths(doc), key=repr)))
+    parent = doc
+    for k in path[:-1]:
+        parent = parent[k]
+    if data.draw(st.booleans()):
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = data.draw(JSON_VALUES)
+    code, err = _run_canonical(doc, where)
+    # a mutation may leave a valid document; otherwise the error names
+    # where in the document it lies
+    assert code in (0, 2), err
+    if code == 2:
+        assert re.match(
+            r"input error: (document|format|seed|complex|complex2|divisors|weighted_graphs|glue)"
+            r"\S*: ", err), err

@@ -154,7 +154,7 @@ class TestLocalModel:
     @pytest.mark.parametrize("p", [5, 7])
     def test_constrained_dim_matches_brute_force(self, p):
         field = PrimeField(p)
-        zero = RationalFunc.const(field, 0)
+        zero = RationalFunc.make(Poly.make(field, []), Poly.const(field, 1))
         rng, points, spaces = self.draw(p, 12)
         for space in spaces:
             elements = []
