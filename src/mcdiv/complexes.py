@@ -159,13 +159,8 @@ class ComplexDivisor:
     def gamma_part(self) -> GraphDivisor:
         """The induced divisor on the metric graph (curve parts collapse to
         their degrees at the vertices)."""
-        out = dict(self.graph.coeffs)
-        for v, d in self.curves.items():
-            p = self.cx.model.vertex_point(v)
-            c = d.degree()
-            if c:
-                out[p] = out.get(p, 0) + c
-        return GraphDivisor(out)
+        return self.graph + GraphDivisor.of(
+            *((self.cx.model.vertex_point(v), d.degree()) for v, d in self.curves.items()))
 
     def is_effective(self) -> bool:
         return self.graph.is_effective() and all(
@@ -174,19 +169,22 @@ class ComplexDivisor:
 
     def deg_plus(self) -> int:
         """Sum of the positive coefficients, over all points of the complex."""
-        s = sum(c for c in self.graph.coeffs.values() if c > 0)
-        for d in self.curves.values():
-            s += sum(c for c in d.coeffs.values() if c > 0)
-        return s
+        return self.graph.deg_plus() + sum(d.deg_plus() for d in self.curves.values())
 
-    def __add__(self, o):
+    def _combine(self, o, sign):
+        """self + sign * o, part by part."""
+        if o.cx is not self.cx:
+            raise InputError("cannot add divisors on different complexes")
         curves = dict(self.curves)
         for v, d in o.curves.items():
-            curves[v] = curves[v] + d if v in curves else d
-        return ComplexDivisor(self.cx, self.graph + o.graph, curves)
+            curves[v] = curves[v]._combine(d, sign) if v in curves else d.scale(sign)
+        return ComplexDivisor(self.cx, self.graph._combine(o.graph, sign), curves)
+
+    def __add__(self, o):
+        return self._combine(o, 1)
 
     def __sub__(self, o):
-        return self + o.scale(-1)
+        return self._combine(o, -1)
 
     def scale(self, k):
         return ComplexDivisor(

@@ -16,9 +16,10 @@ from fractions import Fraction
 
 from .errors import AuditError, FieldTooSmallError, InputError
 from .exact import INF, Fp, Poly, PrimeField, QQ, RationalFunc
+from .metric import ChipSum
 
 
-class CurveDivisor:
+class CurveDivisor(ChipSum):
     """Finite integer combination of points on one curve."""
 
     def __init__(self, oracle, coeffs=None):
@@ -29,51 +30,16 @@ class CurveDivisor:
                 oracle.validate_point(p)
                 self.coeffs[p] = int(c)
 
-    def degree(self):
-        return sum(self.coeffs.values())
+    def _like(self, coeffs):
+        return CurveDivisor(self.oracle, coeffs)
 
-    def get(self, p):
-        return self.coeffs.get(p, 0)
+    def _same(self, o):
+        return o.oracle is self.oracle
 
-    def support(self):
-        return set(self.coeffs)
+    def _order(self, p):
+        return self.oracle.point_key(p)
 
-    def is_effective(self):
-        return all(c >= 0 for c in self.coeffs.values())
-
-    def __add__(self, o):
-        if o.oracle is not self.oracle:
-            raise InputError("cannot add divisors on different curves")
-        out = dict(self.coeffs)
-        for p, c in o.coeffs.items():
-            out[p] = out.get(p, 0) + c
-        return CurveDivisor(self.oracle, out)
-
-    def __sub__(self, o):
-        return self + o.scale(-1)
-
-    def scale(self, k):
-        return CurveDivisor(self.oracle, {p: c * k for p, c in self.coeffs.items()})
-
-    def __eq__(self, o):
-        return (
-            isinstance(o, CurveDivisor)
-            and self.oracle is o.oracle
-            and self.coeffs == o.coeffs
-        )
-
-    def key(self):
-        return tuple(
-            sorted(
-                ((self.oracle.point_key(p), c) for p, c in self.coeffs.items())
-            )
-        )
-
-    def __repr__(self):
-        if not self.coeffs:
-            return "0"
-        items = sorted(self.coeffs.items(), key=lambda kv: self.oracle.point_key(kv[0]))
-        return " + ".join(f"{c}*({p})" for p, c in items)
+    _term = "{c}*({p})"
 
 
 class CurveOracle:
@@ -82,10 +48,7 @@ class CurveOracle:
     genus = 0
 
     def divisor(self, *pairs):
-        d = {}
-        for p, c in pairs:
-            d[p] = d.get(p, 0) + c
-        return CurveDivisor(self, d)
+        return CurveDivisor(self, ChipSum.tally(pairs))
 
     def zero_divisor(self):
         return CurveDivisor(self, {})
@@ -205,17 +168,12 @@ class P1Oracle(CurveOracle):
         """div(f) for a function whose zeros and poles are field-rational."""
         if f.is_zero():
             raise InputError("div of the zero function")
-        coeffs = {}
         nroots, ncof = f.num.rational_roots()
         droots, dcof = f.den.rational_roots()
         if ncof.degree > 0 or dcof.degree > 0:
             raise InputError("function does not split over the base field")
-        for r in nroots:
-            coeffs[r] = coeffs.get(r, 0) + 1
-        for r in droots:
-            coeffs[r] = coeffs.get(r, 0) - 1
-        coeffs[INF] = f.den.degree - f.num.degree
-        return CurveDivisor(self, coeffs)
+        return self.divisor(*((r, 1) for r in nroots), *((r, -1) for r in droots),
+                            (INF, f.den.degree - f.num.degree))
 
 
 @dataclass(frozen=True)
@@ -347,11 +305,7 @@ class EllipticOracle(CurveOracle):
             raise InputError("no effective representative")
         if deg == 0:
             return self.zero_divisor()
-        s = self.group_sum(d)
-        out = {s: 1}
-        if deg > 1:
-            out[O_POINT] = out.get(O_POINT, 0) + deg - 1
-        return CurveDivisor(self, out)
+        return self.divisor((self.group_sum(d), 1), (O_POINT, deg - 1))
 
     def canonical_divisor(self):
         return self.zero_divisor()
@@ -534,11 +488,7 @@ class TableOracle(CurveOracle):
         ) if deg == 0 else self._divisor_in_class(deg, self.canonical_class)
 
     def _divisor_in_class(self, deg, cls):
-        combo = self._rep_combo(deg, cls)
-        out = {}
-        for lab in combo:
-            out[lab] = out.get(lab, 0) + 1
-        return CurveDivisor(self, out)
+        return self.divisor(*((lab, 1) for lab in self._rep_combo(deg, cls)))
 
     def divisor_in_class(self, deg, cls):
         """Some divisor (not necessarily effective) in the given class."""
@@ -547,10 +497,7 @@ class TableOracle(CurveOracle):
         for radius in range(0, 3 * (self.genus + 2)):
             for combo in itertools.combinations_with_replacement(labels, radius):
                 for signs in itertools.product((1, -1), repeat=len(combo)):
-                    d = {}
-                    for lab, s in zip(combo, signs):
-                        d[lab] = d.get(lab, 0) + s
-                    cd = CurveDivisor(self, d)
+                    cd = self.divisor(*zip(combo, signs))
                     if self.class_of(cd) == (deg, cls):
                         return cd
         raise InputError("no divisor found in class")
@@ -644,11 +591,9 @@ def riemann_roch_audit(oracle: CurveOracle):
     pool = oracle.pool(max(g + 2, 3))
     divisors = [oracle.zero_divisor(), k_div]
     for _ in range(24):
-        d = {}
-        for _ in range(rng.randint(1, 3)):
-            p = pool[rng.randrange(len(pool))]
-            d[p] = d.get(p, 0) + rng.randint(-2, 2)
-        divisors.append(CurveDivisor(oracle, d))
+        picks = [(pool[rng.randrange(len(pool))], rng.randint(-2, 2))
+                 for _ in range(rng.randint(1, 3))]
+        divisors.append(oracle.divisor(*picks))
     for d in divisors:
         r = oracle.curve_rank(d)
         deg = d.degree()

@@ -120,6 +120,8 @@ def check_attachment(cx, x):
             raise InputError(f"{x.where} carries a curve; attach at a curve point")
         return
     v, p = x
+    if not cx.is_oracle_vertex(v):
+        raise InputError(f"{v} carries no curve")
     o = cx.oracles[v]
     o.validate_point(p)
     if any(o.point_key(q) == o.point_key(p) for q in cx.marks[v].values()):

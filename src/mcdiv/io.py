@@ -304,17 +304,11 @@ def _parse_chips(pairs, parse_point, path):
 
 
 def divisor_json(cx, d):
-    graph = [
-        [graph_point_json(p), c]
-        for p, c in sorted(d.graph.coeffs.items(), key=lambda kv: repr(kv[0]))
-    ]
-    curves = {}
-    for v, dv in sorted(d.curves.items()):
-        o = cx.oracles[v]
-        curves[v] = [
-            [curve_point_json(o, p), c]
-            for p, c in sorted(dv.coeffs.items(), key=lambda kv: o.point_key(kv[0]))
-        ]
+    graph = [[graph_point_json(p), c] for p, c in d.graph.terms()]
+    curves = {
+        v: [[curve_point_json(cx.oracles[v], p), c] for p, c in dv.terms()]
+        for v, dv in sorted(d.curves.items())
+    }
     return {"graph": graph, "curves": curves}
 
 

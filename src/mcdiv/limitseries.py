@@ -351,21 +351,12 @@ def _restricted_sites(cx, d, spaces, fresh):
 def _restricted_feasible(cx, d, e_div, spaces, bound):
     """Whether some integer vertex potential and per-vertex elements of
     the given spaces make d - e_div + div(f) effective."""
-    e_graph = {w: 0 for w in cx.graphical_vertices()}
-    for p, c in e_div.graph.coeffs.items():
-        if p.kind != "v":
-            raise InputError("restricted rank needs vertex-supported chips")
-        e_graph[p.where] = e_graph.get(p.where, 0) + c
-    d_graph = {}
-    for p, c in d.graph.coeffs.items():
-        if p.kind != "v":
-            raise InputError("restricted rank needs vertex-supported divisors")
-        d_graph[p.where] = c
+    graph = {p.where: c for p, c in (d.graph - e_div.graph).coeffs.items()}
     rest = {v: d.curve_part(v) - e_div.curve_part(v) for v in cx.oracle_vertices()}
     # graphical degrees first, then the spaces
     return any(
         all(
-            d_graph.get(w, 0) - e_graph.get(w, 0)
+            graph.get(w, 0)
             + sum(f[e.v if end == 0 else e.u] - f[w] for e, end in cx.model.incident_edges(w))
             >= 0
             for w in cx.graphical_vertices()
@@ -395,6 +386,8 @@ def restricted_rank(cx, d: ComplexDivisor, spaces, validate=False) -> int:
     for v in cx.oracle_vertices():
         if v not in spaces:
             raise InputError(f"no function space at {v}")
+    if any(p.kind != "v" for p in d.graph.support()):
+        raise InputError("restricted rank needs vertex-supported divisors")
     dims = [spaces[v].dim for v in cx.oracle_vertices()]
     cap = max(0, min(dims) - 1) if dims else max(d.degree(), -1)
 

@@ -53,6 +53,10 @@ class GraphModel:
         self.vertices = list(vertices)
         if len(set(self.vertices)) != len(self.vertices):
             raise InputError("duplicate vertex names")
+        for name in self.vertices:
+            # so that repr tells graph points apart, as divisor keys need
+            if "[" in str(name):
+                raise InputError(f"vertex name {name} may not contain '['")
         vset = set(self.vertices)
         self.edges = {}
         for name, u, v, length in edges:
@@ -178,8 +182,12 @@ class Refinement:
             self.adj[re.ends[1]].append((i, 1))
 
 
-class GraphDivisor:
-    """Finite integer combination of points of the metric graph."""
+class ChipSum:
+    """Finite integer combination of points, zero coefficients dropped: the
+    arithmetic that divisors on the metric graph and on a curve share.  A
+    subclass fixes how a divisor on its carrier is built (its constructor,
+    and `_like` for results), the point order (`_order`), the term format
+    (`_term`) and which operands share its carrier (`_same`)."""
 
     def __init__(self, coeffs=None):
         self.coeffs = {}
@@ -187,8 +195,25 @@ class GraphDivisor:
             if c:
                 self.coeffs[p] = int(c)
 
+    @staticmethod
+    def tally(pairs):
+        """{point: summed coefficient} of (point, coefficient) pairs."""
+        out = {}
+        for p, c in pairs:
+            out[p] = out.get(p, 0) + c
+        return out
+
+    def _same(self, o):
+        """Whether o lives on the same carrier; a graph divisor does not
+        carry its graph, so any two share one."""
+        return True
+
     def degree(self):
         return sum(self.coeffs.values())
+
+    def deg_plus(self):
+        """Sum of the positive coefficients."""
+        return sum(c for c in self.coeffs.values() if c > 0)
 
     def support(self):
         return set(self.coeffs)
@@ -199,35 +224,52 @@ class GraphDivisor:
     def is_effective(self):
         return all(c >= 0 for c in self.coeffs.values())
 
-    def __add__(self, o):
+    def _combine(self, o, sign):
+        """self + sign * o, as one new divisor."""
+        if not self._same(o):
+            raise InputError("cannot add divisors on different curves")
         out = dict(self.coeffs)
         for p, c in o.coeffs.items():
-            out[p] = out.get(p, 0) + c
-        return GraphDivisor(out)
+            out[p] = out.get(p, 0) + sign * c
+        return self._like(out)
+
+    def __add__(self, o):
+        return self._combine(o, 1)
 
     def __sub__(self, o):
-        return self + o.scale(-1)
+        return self._combine(o, -1)
 
     def scale(self, k):
-        return GraphDivisor({p: c * k for p, c in self.coeffs.items()})
+        return self._like({p: c * k for p, c in self.coeffs.items()})
 
     def __eq__(self, o):
-        return isinstance(o, GraphDivisor) and self.coeffs == o.coeffs
+        return isinstance(o, type(self)) and self._same(o) and self.coeffs == o.coeffs
 
     def key(self):
-        return tuple(sorted(self.coeffs.items(), key=lambda kv: repr(kv[0])))
+        """Hashable and equal exactly when the divisors are: the (order,
+        coefficient) pairs, sorted."""
+        return tuple(sorted(zip(map(self._order, self.coeffs), self.coeffs.values())))
+
+    def terms(self):
+        """The (point, coefficient) pairs in point order."""
+        return sorted(self.coeffs.items(), key=lambda kv: self._order(kv[0]))
 
     def __repr__(self):
-        if not self.coeffs:
-            return "0"
-        return " + ".join(f"{c}*{p}" for p, c in sorted(self.coeffs.items(), key=lambda kv: repr(kv[0])))
+        return " + ".join(self._term.format(p=p, c=c) for p, c in self.terms()) or "0"
+
+
+class GraphDivisor(ChipSum):
+    """Finite integer combination of points of the metric graph."""
+
+    def _like(self, coeffs):
+        return GraphDivisor(coeffs)
+
+    _order = staticmethod(repr)
+    _term = "{c}*{p}"
 
     @staticmethod
     def of(*pairs):
-        d = {}
-        for p, c in pairs:
-            d[p] = d.get(p, 0) + c
-        return GraphDivisor(d)
+        return GraphDivisor(ChipSum.tally(pairs))
 
 
 class PLFunction:

@@ -1,9 +1,13 @@
-"""Metrized complexes: genus, divisors of rational functions, chip-firing
-moves, canonical class, regularization."""
+"""Metrized complexes: genus, divisor arithmetic, divisors of rational
+functions, chip-firing moves, canonical class, regularization."""
 
+import functools
+import operator
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mcdiv.complexes import (
     ComplexDivisor,
@@ -11,14 +15,16 @@ from mcdiv.complexes import (
     MetrizedComplex,
     NodalCurveDescription,
     as_trivial_complex,
+    graphical_complex,
     move_fire_interior,
     move_fire_vertex,
     move_swap_curve_part,
     regularize,
 )
-from mcdiv.curves import EllipticOracle, O_POINT, P1Oracle
+from mcdiv.curves import EllipticOracle, O_POINT, P1Oracle, genus2_table_oracle
 from mcdiv.errors import InputError
 from mcdiv.exact import INF, PrimeField, QQ
+from mcdiv.io import curve_point_json, divisor_json, graph_point_json
 from mcdiv.metric import GraphDivisor, GraphModel, GraphPoint, PLFunction
 
 from conftest import (
@@ -338,3 +344,115 @@ class TestTrivialComplex:
             for v in trivial.model.vertices:
                 deg = trivial.model.degree(v)
                 assert trivial.lift_point(v) == trivial.oracles[v].sample_points(deg + 1)[deg]
+
+
+CURVES = {
+    "P1/Q": lambda: P1Oracle(QQ),
+    "P1/F5": lambda: P1Oracle(PrimeField(5)),
+    "E/F5": lambda: EllipticOracle(5, 1, 1),
+    "genus-2 table": genus2_table_oracle,
+}
+
+
+@functools.lru_cache(maxsize=None)
+def _carrier(name):
+    """A complex and a twin of the same shape (a different object), the
+    points that chips go on, and the reference point order: the theta graph
+    ordered by repr, or the curve of a one-vertex complex by point_key."""
+    if name == "theta graph":
+        cx, twin = graphical_complex(theta_model()), graphical_complex(theta_model())
+        m = cx.model
+        pts = [m.vertex_point("u"), m.vertex_point("v")]
+        pts += [m.point_on(e, Fraction(k, 4)) for e in ("e1", "e2", "e3") for k in (1, 2, 3)]
+        return cx, twin, pts, repr
+    cx, twin = single_vertex_complex(CURVES[name]()), single_vertex_complex(CURVES[name]())
+    o = cx.oracles["s"]
+    pts = o.sample_points(6)
+    if name == "P1/Q":
+        pts[-1] = INF
+    return cx, twin, pts, o.point_key
+
+
+def _divisor(cx, pts, chips):
+    pairs = [(pts[i % len(pts)], c) for i, c in chips]
+    return cx.oracles["s"].divisor(*pairs) if cx.oracles else GraphDivisor.of(*pairs)
+
+
+def _whole(cx, d):
+    """d as a divisor of the complex."""
+    return ComplexDivisor(cx, GraphDivisor(), {"s": d}) if cx.oracles else ComplexDivisor(cx, d, {})
+
+
+chips = st.lists(st.tuples(st.integers(0, 10), st.integers(-3, 3)), max_size=6)
+
+
+@pytest.mark.parametrize("name", ["theta graph", *CURVES])
+class TestChipSumArithmetic:
+    """Graph and curve divisors share one arithmetic (metric.ChipSum), which
+    complex divisors combine part by part."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(xs=chips, ys=chips)
+    def test_sums_and_degrees(self, name, xs, ys):
+        cx, _, pts, _ = _carrier(name)
+        a, b = _divisor(cx, pts, xs), _divisor(cx, pts, ys)
+        assert a - b == a + b.scale(-1)
+        assert (a + b) - b == a
+        assert (a + b).degree() == a.degree() + b.degree()
+        assert a.deg_plus() - a.scale(-1).deg_plus() == a.degree()
+        assert (a + b).deg_plus() <= a.deg_plus() + b.deg_plus()
+        if a.is_effective() and b.is_effective():
+            assert (a + b).deg_plus() == a.deg_plus() + b.deg_plus()
+        wa, wb = _whole(cx, a), _whole(cx, b)
+        assert wa - wb == _whole(cx, a - b) and wa + wb == _whole(cx, a + b)
+        assert (wa - wb).deg_plus() == (a - b).deg_plus()
+        assert (wa - wb).is_effective() == (a - b).is_effective()
+
+    @settings(max_examples=60, deadline=None)
+    @given(xs=chips, ys=chips)
+    def test_keys_equal_exactly_when_divisors_are(self, name, xs, ys):
+        cx, _, pts, _ = _carrier(name)
+        a, b = _divisor(cx, pts, xs), _divisor(cx, pts, ys)
+        assert (a.key() == b.key()) == (a == b)
+        same = _divisor(cx, pts, reversed(xs))  # other insertion order
+        assert same == a and same.key() == a.key()
+        assert _whole(cx, same).key() == _whole(cx, a).key()
+
+    @settings(max_examples=60, deadline=None)
+    @given(xs=chips)
+    def test_repr_key_and_json_in_point_order(self, name, xs):
+        cx, _, pts, order = _carrier(name)
+        a = _divisor(cx, pts, xs)
+        ref = sorted(a.coeffs.items(), key=lambda kv: order(kv[0]))
+        assert a.key() == tuple((order(p), c) for p, c in ref)
+        term = "{c}*({p})" if cx.oracles else "{c}*{p}"
+        assert repr(a) == (" + ".join(term.format(c=c, p=p) for p, c in ref) or "0")
+        got = divisor_json(cx, _whole(cx, a))
+        if cx.oracles:
+            want = [[curve_point_json(cx.oracles["s"], p), c] for p, c in ref]
+            assert got == {"graph": [], "curves": {"s": want} if want else {}}
+        else:
+            assert got == {"graph": [[graph_point_json(p), c] for p, c in ref], "curves": {}}
+
+    @settings(max_examples=30, deadline=None)
+    @given(xs=chips, ys=chips)
+    def test_arithmetic_across_carriers_refused(self, name, xs, ys):
+        cx, twin, pts, _ = _carrier(name)
+        a, b = _divisor(cx, pts, xs), _divisor(twin, pts, ys)
+        for op in (operator.add, operator.sub):
+            if cx.oracles:
+                with pytest.raises(InputError, match="different curves"):
+                    op(a, b)
+            with pytest.raises(InputError, match="different complexes"):
+                op(_whole(cx, a), _whole(twin, b))
+
+
+def test_sum_across_complexes_with_same_names_refused():
+    """Edge e has length 1 in one complex and 2 in the other: a sum on the
+    first would hold a chip at offset 3/2, off its edge."""
+    short, long = (graphical_complex(GraphModel(["a", "b"], [("e", "a", "b", n)])) for n in (1, 2))
+    d = short.divisor(graph_pairs=[(short.model.point_on("e", Fraction(1, 2)), 1)])
+    e = long.divisor(graph_pairs=[(long.model.point_on("e", Fraction(3, 2)), -1)])
+    for op in (operator.add, operator.sub):
+        with pytest.raises(InputError, match="different complexes"):
+            op(d, e)

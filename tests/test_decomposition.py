@@ -115,6 +115,11 @@ class TestGlue:
         with pytest.raises(InputError):
             glue(cx1, ("c", taken), cx2, ("s", QQ.elem(0)))
 
+    def test_curve_place_at_graphical_vertex_rejected(self):
+        cx = graphical_complex(GraphModel(["w"], []))
+        with pytest.raises(InputError, match="w carries no curve"):
+            glue(cx, ("w", Fraction(1)), self.p1_cx(), ("s", QQ.elem(0)))
+
     def test_lift_rejects_foreign_oracle(self):
         g = glue(self.p1_cx(), ("s", QQ.elem(1)), self.p1_cx(), ("s", QQ.elem(2)))
         other = self.p1_cx()  # same shape, but an oracle of its own

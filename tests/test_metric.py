@@ -33,6 +33,11 @@ class TestModels:
         assert len(g.vertices) == 3 and len(g.edges) == 4
         assert g.first_betti() == 2
 
+    def test_bracket_in_vertex_name_rejected(self):
+        """A vertex "e[1/2]" would print like the midpoint of edge e."""
+        with pytest.raises(InputError, match="may not contain"):
+            GraphModel(["a", "e[1/2]"], [("e", "a", "e[1/2]", 1)])
+
     def test_disconnected_rejected(self):
         with pytest.raises(InputError):
             GraphModel(["a", "b"], [])
