@@ -225,40 +225,36 @@ class ComplexRationalFunction:
         self.cx = cx
         self.f_gamma = f_gamma
         self.witnesses = dict(curve_witnesses or {})
+        self._shifts = {}  # oracle vertex -> div f_v, as a curve divisor
         for v, w in self.witnesses.items():
-            o = cx.oracles[v]
+            o = cx.oracles.get(v)
+            if o is None:
+                raise InputError(f"{v} carries no curve")
             if isinstance(w, RationalFunc):
                 if not isinstance(o, P1Oracle):
                     raise InputError(f"explicit function witness needs a P1 at {v}")
+                self._shifts[v] = o.divisor_of(w)
             elif isinstance(w, CurveDivisor):
+                if w.oracle is not o:
+                    raise InputError(f"declared witness at {v} built on a foreign oracle")
                 if w.degree() != 0 or not o.classes_equal(w, o.zero_divisor()):
                     raise InputError(f"declared witness at {v} is not principal")
+                self._shifts[v] = w
             else:
                 raise InputError(f"bad witness type at {v}")
 
-    def curve_divisor_shift(self, v) -> CurveDivisor:
-        """div(f_v) as a curve divisor."""
-        o = self.cx.oracles[v]
-        w = self.witnesses.get(v)
-        if w is None:
-            return o.zero_divisor()
-        if isinstance(w, RationalFunc):
-            return o.divisor_of(w)
-        return w
-
     def divisor(self) -> ComplexDivisor:
-        """div of the function; always degree zero.  The outgoing slope of
-        each refined segment lands on its end node, or at an oracle vertex
-        on the marked point the segment meets; div f_v is added at v."""
+        """div of the function; always degree zero.  Each refined segment's
+        slope s leaves its lo end and enters its hi end, landing at an
+        oracle vertex on the marked point the segment meets; div f_v is
+        added at v."""
         f = self.f_gamma
         graph, curves = {}, {}
-        for n in f.ref.nodes:
-            for i, _end in f.ref.adj[n]:
-                s = f.outgoing_slope(n, i)
-                if s:
-                    _add_chips(self.cx, graph, curves, n, f.ref.redges[i], s)
-        for v in self.witnesses:
-            shift = self.curve_divisor_shift(v)
+        for re, s in zip(f.ref.redges, f.slopes):
+            if s:
+                _add_chips(self.cx, graph, curves, re.ends[0], re, s)
+                _add_chips(self.cx, graph, curves, re.ends[1], re, -s)
+        for v, shift in self._shifts.items():
             curves[v] = curves[v] + shift if v in curves else shift
         return ComplexDivisor(self.cx, GraphDivisor(graph), curves)
 

@@ -331,13 +331,7 @@ def _restricted_sites(cx, d, spaces, fresh):
         except FieldTooSmallError:
             # small field: take every remaining point; the pool is then
             # exhaustive for the component
-            extra = []
-            if hasattr(o.field, "p"):
-                extra = [
-                    p
-                    for p in o.sample_points(min(o.field.p + 1, 64))
-                    if p not in avoid
-                ]
+            extra = [p for p in o.sample_points(min(o.field.p + 1, 64)) if p not in avoid]
         pool.extend(extra)
         seen = set()
         for q in pool:

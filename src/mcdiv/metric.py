@@ -79,6 +79,10 @@ class GraphModel:
             else:
                 self.edges[name] = Edge(name, u, v, length)
         self.vertex_set = vset
+        self._incidence = {w: [] for w in self.vertices}  # vertex -> [(edge, end)], in edge order
+        for e in self.edges.values():
+            self._incidence[e.u].append((e, 0))
+            self._incidence[e.v].append((e, 1))
         self._check_connected()
 
     def _check_connected(self):
@@ -87,13 +91,12 @@ class GraphModel:
         seen = {self.vertices[0]}
         stack = [self.vertices[0]]
         while stack:
-            w = stack.pop()
-            for e in self.edges.values():
-                for a, b in ((e.u, e.v), (e.v, e.u)):
-                    if a == w and b not in seen:
-                        seen.add(b)
-                        stack.append(b)
-        if seen != set(self.vertices):
+            for e, end in self._incidence[stack.pop()]:
+                b = e.v if end == 0 else e.u
+                if b not in seen:
+                    seen.add(b)
+                    stack.append(b)
+        if seen != self.vertex_set:
             raise InputError("graph is not connected")
 
     # -- point factories -------------------------------------------------
@@ -118,16 +121,12 @@ class GraphModel:
         return GraphPoint("e", edge_name, offset)
 
     def incident_edges(self, vertex):
-        out = []
-        for e in self.edges.values():
-            if e.u == vertex:
-                out.append((e, 0))
-            if e.v == vertex:
-                out.append((e, 1))
-        return out
+        """The (edge, end) pairs at the vertex, in edge order; [] for an
+        unknown vertex."""
+        return list(self._incidence.get(vertex, ()))
 
     def degree(self, vertex):
-        return len(self.incident_edges(vertex))
+        return len(self._incidence.get(vertex, ()))
 
     def first_betti(self):
         return len(self.edges) - len(self.vertices) + 1
@@ -298,24 +297,13 @@ class PLFunction:
         ref = model.refinement()
         return PLFunction(ref, {n: Fraction(c) for n in ref.nodes})
 
-    def outgoing_slope(self, node: GraphPoint, redge_index: int) -> int:
-        re = self.ref.redges[redge_index]
-        if re.ends[0] == node:
-            return self.slopes[redge_index]
-        if re.ends[1] == node:
-            return -self.slopes[redge_index]
-        raise InputError("node not an end of the segment")
-
     def divisor(self) -> GraphDivisor:
-        """div of the function: sum of outgoing slopes at every break point."""
-        out = {}
-        for n in self.ref.nodes:
-            s = 0
-            for ei, _end in self.ref.adj[n]:
-                s += self.outgoing_slope(n, ei)
-            if s:
-                out[n] = s
-        return GraphDivisor(out)
+        """div of the function: the sum of outgoing slopes at every node.
+        Each segment's slope s leaves its lo end (+s there) and enters its
+        hi end (-s there)."""
+        return GraphDivisor(ChipSum.tally(
+            (n, c) for re, s in zip(self.ref.redges, self.slopes)
+            for n, c in ((re.ends[0], s), (re.ends[1], -s))))
 
     def __add__(self, o):
         if self.ref.model is not o.ref.model:

@@ -78,14 +78,37 @@ def _debts(cx, d, v0):
     return debts
 
 
+def _spread(ref, v0, joins):
+    """Dhar's worklist walk over the refinement from v0: a node reached
+    along the segments segs joins when joins(node, segs), and the walk goes
+    on from it, so each segment is crossed once.  Returns the joined nodes
+    (v0 among them) and {node reached: the segments it was reached along}."""
+    joined = {v0}
+    reached = {}
+    todo = [v0]
+    while todo:
+        x = todo.pop()
+        for i, end in ref.adj[x]:
+            re = ref.redges[i]
+            y = re.ends[1 - end]
+            if y in joined:
+                continue
+            segs = reached.setdefault(y, [])
+            segs.append(re)
+            if joins(y, segs):
+                joined.add(y)
+                todo.append(y)
+    return joined, reached
+
+
 def burn(cx: MetrizedComplex, d: ComplexDivisor, v0: GraphPoint) -> Cut | None:
     """Run the burning pass from v0 on a normalized divisor.
 
     Returns None when everything burns (the divisor is v0-reduced), else
     the surviving region as a Cut: the maximal saturated cut avoiding v0.
-    A node is re-examined only when fire reaches it along one more segment
-    (Dhar's worklist), so the pass touches each segment once.  The segments along which the fire
-    reached a surviving node are the fronts of the cut at that node.
+    The fire spreads by _spread to every node that does not withstand it.
+    The segments along which the fire reached a surviving node are the
+    fronts of the cut at that node.
     """
     debts = _debts(cx, d, v0)
     if debts:
@@ -93,21 +116,7 @@ def burn(cx: MetrizedComplex, d: ComplexDivisor, v0: GraphPoint) -> Cut | None:
     ref = cx.model.refinement([*d.graph.coeffs, v0])
     if v0 not in ref.adj:
         raise InputError(f"{v0} is not a point of the graph")
-    burnt = {v0}
-    reached = {}  # node -> segments the fire reached it along
-    todo = [v0]
-    while todo:
-        x = todo.pop()
-        for i, end in ref.adj[x]:
-            re = ref.redges[i]
-            y = re.ends[1 - end]
-            if y in burnt:
-                continue
-            segs = reached.setdefault(y, [])
-            segs.append(re)
-            if not _withstands(cx, d, y, segs):
-                burnt.add(y)
-                todo.append(y)
+    burnt, reached = _spread(ref, v0, lambda y, segs: not _withstands(cx, d, y, segs))
     if len(burnt) == len(ref.nodes):
         return None
     nodes = {x for x in ref.nodes if x not in burnt}
@@ -237,21 +246,11 @@ def clear_debt(cx, d: ComplexDivisor, v0: GraphPoint, cap=DEFAULT_EVENT_CAP,
         z = max(debts)[2]
         ref = cx.model.refinement([*d.graph.coeffs, v0, z])
         # region: component of v0 after deleting z; every segment leaving
-        # it ends at z
-        nodes, fronts = set(), {}
-        stack = [v0]
-        while stack:
-            x = stack.pop()
-            if x in nodes:
-                continue
-            nodes.add(x)
-            for i, end in ref.adj[x]:
-                re = ref.redges[i]
-                y = re.ends[1 - end]
-                if y == z:
-                    fronts.setdefault(x, []).append(re)
-                elif y not in nodes:
-                    stack.append(y)
+        # it ends at z, and its front is the segment's other end
+        nodes, reached = _spread(ref, v0, lambda y, segs: y != z)
+        fronts = {}
+        for re in reached[z]:
+            fronts.setdefault(re.ends[1] if re.ends[0] == z else re.ends[0], []).append(re)
         d = _fire(cx, d, Cut(ref, nodes, fronts), moves, True, check_each_step)
         steps += 1
         if steps > cap:

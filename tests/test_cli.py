@@ -247,6 +247,26 @@ class TestCommands:
         assert main(["moderator-audit", theta_file, "--budget", "6"]) == 0
         assert "status: ok" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("budget", [1, 2])
+    def test_reduce_budget(self, budget, tmp_path, capsys):
+        # each chip reaches u in a burn event of its own: two events
+        doc = {
+            "format": 1,
+            "complex": {"vertices": [{"name": "u"}, {"name": "w"}],
+                        "edges": [{"name": "e", "ends": ["u", "w"], "length": "1"}]},
+            "divisors": {"D": {"graph": [[{"edge": "e", "offset": "1/3"}, 1],
+                                         [{"edge": "e", "offset": "2/3"}, 1]]}},
+        }
+        f = tmp_path / "segment.json"
+        f.write_text(json.dumps(doc))
+        argv = ["reduce", str(f), "--divisor", "D", "--base", "u", "--budget", str(budget)]
+        assert main(argv) == (1 if budget == 1 else 0)
+        out, err = capsys.readouterr()
+        if budget == 1:
+            assert err == "computation error: reduction exceeded 1 events\n"
+        else:
+            assert out.startswith('reduced: {"curves": {}, "graph": [[{"vertex": "u"}, 2]]}\n')
+
     def test_bn_search(self, theta_file, capsys):
         assert main(["bn-search", theta_file, "--d", "2", "--r", "1"]) == 0
         assert "found: yes" in capsys.readouterr().out

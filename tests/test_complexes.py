@@ -186,6 +186,44 @@ class TestDivOf:
         with pytest.raises(InputError):
             ComplexRationalFunction(cx, PLFunction.constant(cx.model), {"l1": bad})
 
+    @pytest.mark.parametrize("v", ["b", "nowhere"])
+    def test_witness_off_the_curves_refused(self, v):
+        o = P1Oracle(QQ)
+        g = GraphModel(["a", "b"], [("e", "a", "b", 1)])
+        cx = MetrizedComplex(g, {"a": o}, {"a": {("e", 0): o.sample_points(1)[0]}})
+        with pytest.raises(InputError, match=f"^{v} carries no curve$"):
+            ComplexRationalFunction(cx, PLFunction.constant(g), {v: o.zero_divisor()})
+
+    @staticmethod
+    def _principal(o):
+        """p + q - (p + q) - O on an elliptic curve: principal, not zero."""
+        p_, q_ = o.sample_points(3)[1:]
+        shift = o.divisor((p_, 1), (q_, 1), (o.add_points(p_, q_), -1), (O_POINT, -1))
+        assert shift.coeffs
+        return shift
+
+    @pytest.mark.parametrize("foreign", [(5, 1, 1), (7, 1, 1)], ids=["E/F5", "twin"])
+    def test_witness_on_foreign_oracle_refused(self, foreign):
+        cx = single_vertex_complex(EllipticOracle(7, 1, 1))
+        f = PLFunction.constant(cx.model)
+        own = self._principal(cx.oracles["s"])
+        assert ComplexRationalFunction(cx, f, {"s": own}).divisor().curve_part("s") == own
+        with pytest.raises(InputError, match="^declared witness at s built on a foreign oracle$"):
+            ComplexRationalFunction(cx, f, {"s": self._principal(EllipticOracle(*foreign))})
+
+    def test_explicit_witness_off_a_p1_refused(self):
+        cx = single_vertex_complex(EllipticOracle(7, 1, 1))
+        line = P1Oracle(QQ)
+        pts = line.sample_points(2)
+        fn = line.principal_witness(line.divisor((pts[0], 1), (pts[1], -1)))
+        with pytest.raises(InputError, match="^explicit function witness needs a P1 at s$"):
+            ComplexRationalFunction(cx, PLFunction.constant(cx.model), {"s": fn})
+
+    def test_bad_witness_type_refused(self):
+        cx = single_vertex_complex(EllipticOracle(7, 1, 1))
+        with pytest.raises(InputError, match="^bad witness type at s$"):
+            ComplexRationalFunction(cx, PLFunction.constant(cx.model), {"s": 3})
+
     def test_random_witness_degree_zero(self, rng):
         for _ in range(25):
             cx = random_complex(rng)

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from mcdiv import reduction
 from mcdiv.complexes import MetrizedComplex, as_trivial_complex, graphical_complex
 from mcdiv.curves import EllipticOracle, O_POINT, P1Oracle
-from mcdiv.errors import InputError, McdivError
+from mcdiv.errors import BudgetError, InputError, McdivError
 from mcdiv.exact import PrimeField
 from mcdiv.io import parse_document
 from mcdiv.metric import GraphModel, PLFunction, Refinement
@@ -571,6 +571,14 @@ def _two_phase_case():
     b = model.point_on("e2", Fraction(1, 2))
     c = model.point_on("e3", Fraction(2, 3))
     return cx, cx.divisor(graph_pairs=[(a, 3), (b, -2), (c, 1)]), model.vertex_point("u"), a
+
+
+def test_event_cap_stops_debt_clearing():
+    # the two debt events fit in cap=2, and so do the two burn events after them
+    cx, d, v0, _a = _two_phase_case()
+    with pytest.raises(BudgetError, match="^debt clearing exceeded 1 events$"):
+        reduce_divisor(cx, d, v0, cap=1)
+    reduce_divisor(cx, d, v0, cap=2)
 
 
 class TestEachStepCheck:
