@@ -16,7 +16,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
 
 from conftest import random_complex, random_divisor, random_witness  # noqa: E402
 
-from mcdiv.rank import nonneg_rank, rank, rr_audit  # noqa: E402
+from mcdiv.rank import clifford_audit, rr_audit  # noqa: E402
 from mcdiv.reduction import reduce_divisor  # noqa: E402
 
 
@@ -37,13 +37,11 @@ def main():
         if not rep.passed():
             print(f"FAIL riemann-roch at pair {i}: {rep.data} on {d!r}")
             return 1
-        k = cx.canonical()
-        if 0 <= d.degree() <= 2 * cx.genus() - 2:
-            if nonneg_rank(cx, d) and nonneg_rank(cx, k - d):
-                special += 1
-                if 2 * rank(cx, d) > d.degree():
-                    print(f"FAIL clifford at pair {i}: {d!r}")
-                    return 1
+        rep = clifford_audit(cx, d)
+        special += rep.data["special"]
+        if not rep.passed():
+            print(f"FAIL clifford at pair {i}: {d!r}")
+            return 1
         w = random_witness(rng, cx)
         v0 = cx.model.vertex_point(cx.model.vertices[0])
         r1, _ = reduce_divisor(cx, d, v0, check_each_step=True)

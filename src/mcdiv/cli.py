@@ -174,19 +174,21 @@ def cmd_limit_check(doc, args):
     if args.series is None or args.series not in doc.limit_series:
         raise InputError("missing or unknown --series NAME")
     spec = doc.limit_series[args.series]
-    ok, violations = limitseries.crude_limit_check(
-        doc.complex, spec["aspects"], spec["degree"], spec["rank"]
-    )
-    block = {"crude-limit": "ok" if ok else "FAIL", "violations": len(violations)}
     explicit = all(
         not isinstance(a, limitseries.VanishingTable)
         for a in spec["aspects"].values()
     )
     if not explicit:
-        return block, 0
+        ok, violations = limitseries.crude_limit_check(
+            doc.complex, spec["aspects"], spec["degree"], spec["rank"]
+        )
+        return {"crude-limit": "ok" if ok else "FAIL", "violations": len(violations)}, 0
+    # the audit runs the crude check itself
     rep = limitseries.limit_equiv_audit(
         doc.complex, spec["aspects"], spec["root"], spec["degree"], spec["rank"]
     )
+    block = {"crude-limit": "ok" if rep.data["crude"] else "FAIL",
+             "violations": len(rep.data["violations"])}
     block["restricted-rank"] = rep.data["restricted_rank"]
     block["biconditional"] = "ok" if rep.passed() else "FAIL"
     return block, 0 if rep.passed() else 3
@@ -197,12 +199,13 @@ def cmd_moderator_audit(doc, args):
     count = 0
     bad = []
     budget = 64 if args.budget is None else args.budget
+    canonical = cx.canonical()
     for mod in moderator_sample(cx, per_vertex_cap=3):
         m = mod.divisor()
         if rank_of(cx, m, seed=args.seed) != -1:
             bad.append(("rank", repr(m)))
         dual = mod.dual().divisor()
-        if not linear_equiv(cx, m + dual, cx.canonical()):
+        if not linear_equiv(cx, m + dual, canonical):
             bad.append(("dual", repr(m)))
         count += 1
         if count >= budget:

@@ -233,6 +233,11 @@ class ComplexRationalFunction:
             if isinstance(w, RationalFunc):
                 if not isinstance(o, P1Oracle):
                     raise InputError(f"explicit function witness needs a P1 at {v}")
+                if w.field != o.field:
+                    raise InputError(
+                        f"explicit function witness at {v} is over {w.field}, "
+                        f"but the curve there is over {o.field}"
+                    )
                 self._shifts[v] = o.divisor_of(w)
             elif isinstance(w, CurveDivisor):
                 if w.oracle is not o:

@@ -14,7 +14,7 @@ from .complexes import ComplexDivisor, MetrizedComplex, graphical_complex
 from .curves import CurveOracle
 from .errors import BudgetError, InputError
 from .metric import GraphDivisor, GraphModel, GraphPoint
-from .rank import edge_grid, point_divisor, rank
+from .rank import _first_twist, edge_grid, point_divisor, rank
 
 
 class EtaFunction:
@@ -36,15 +36,10 @@ class EtaFunction:
         lo = k - self.d.degree()
         if k - 1 in self.memo:
             lo = max(lo, self.memo[k - 1] + 1)
-        n = lo
-        while True:
-            r = rank(
-                self.cx, self.d + point_divisor(self.cx, self.x, n), seed=self.seed
-            )
-            if r >= k:
-                self.memo[k] = n
-                return n
-            n += 1
+        self.memo[k] = _first_twist(
+            self.cx, self.d, self.x, k, lo, lambda e: rank(self.cx, e, seed=self.seed)
+        )
+        return self.memo[k]
 
 
 def eta(cx, d, x, k, seed=0) -> int:
@@ -128,48 +123,43 @@ def check_attachment(cx, x):
         raise InputError(f"attachment point collides with a marked point at {v}")
 
 
+def _union(model1, model2, merged=None):
+    """The two models side by side: vertex v and edge e of piece `side`
+    become "side.v" and "side.e", except that `merged` may rename a vertex,
+    keyed by (side, v).  Returns (vertices, edges, vertex map, edge map),
+    piece 1 first; the maps are keyed by (side, old name)."""
+    merged = merged or {}
+    vmap, emap, edges = {}, {}, []
+    for side, m in ((1, model1), (2, model2)):
+        for v in m.vertices:
+            vmap[(side, v)] = merged.get((side, v), f"{side}.{v}")
+        for name, e in m.edges.items():
+            emap[(side, name)] = ne = f"{side}.{name}"
+            edges.append((ne, vmap[(side, e.u)], vmap[(side, e.v)], e.length))
+    return list(dict.fromkeys(vmap.values())), edges, vmap, emap
+
+
 def glue(cx1, x1, cx2, x2, bridge_length=Fraction(1)) -> GluedComplex:
     """Join two complexes with a bridge between attachment points, each
     checked by `check_attachment`."""
     bridge_length = Fraction(bridge_length)
     if bridge_length <= 0:
         raise InputError("bridge length must be positive")
-    vmap, emap = {}, {}
-    vertices, edges = [], []
-    oracles, marks = {}, {}
-    for side, cx in ((1, cx1), (2, cx2)):
-        for v in cx.model.vertices:
-            nv = f"{side}.{v}"
-            vmap[(side, v)] = nv
-            vertices.append(nv)
-        for name, e in cx.model.edges.items():
-            ne = f"{side}.{name}"
-            emap[(side, name)] = ne
-            edges.append((ne, vmap[(side, e.u)], vmap[(side, e.v)], e.length))
-
-    def attach_vertex(side, cx, x):
+    vertices, edges, vmap, emap = _union(cx1.model, cx2.model)
+    oracles, marks, ends = {}, {}, []
+    for side, cx, x in ((1, cx1, x1), (2, cx2, x2)):
         check_attachment(cx, x)
-        if isinstance(x, GraphPoint):
-            return vmap[(side, x.where)], None
-        return vmap[(side, x[0])], x[1]
-
-    a1, p1 = attach_vertex(1, cx1, x1)
-    a2, p2 = attach_vertex(2, cx2, x2)
-    edges.append(("bridge", a1, a2, bridge_length))
-    model = GraphModel(vertices, edges)
-    for side, cx in ((1, cx1), (2, cx2)):
-        for v in cx.model.vertices:
+        for v in cx.oracle_vertices():
             nv = vmap[(side, v)]
-            if cx.is_oracle_vertex(v):
-                oracles[nv] = cx.oracles[v]
-                marks[nv] = {
-                    (emap[(side, e)], end): pt
-                    for (e, end), pt in cx.marks[v].items()
-                }
-    if p1 is not None:
-        marks[a1][("bridge", 0)] = p1
-    if p2 is not None:
-        marks[a2][("bridge", 1)] = p2
+            oracles[nv] = cx.oracles[v]
+            marks[nv] = {(emap[(side, e)], end): pt for (e, end), pt in cx.marks[v].items()}
+        if isinstance(x, GraphPoint):
+            ends.append(vmap[(side, x.where)])
+        else:
+            ends.append(vmap[(side, x[0])])
+            marks[ends[-1]][("bridge", side - 1)] = x[1]
+    edges.append(("bridge", *ends, bridge_length))
+    model = GraphModel(vertices, edges)
     return GluedComplex(MetrizedComplex(model, oracles, marks), vmap, emap)
 
 
@@ -194,25 +184,8 @@ def connected_sum_rank(cx1, d1, x1, cx2, d2, x2, seed=0) -> int:
 def wedge_model(model1: GraphModel, v1: str, model2: GraphModel, v2: str):
     """Metric graph obtained by identifying v1 with v2; returns the model,
     the joint vertex name, and point translators for each side."""
-    vertices = []
-    vmap = {}
     joint = "w"
-    vertices.append(joint)
-    for side, (m, vx) in ((1, (model1, v1)), (2, (model2, v2))):
-        for v in m.vertices:
-            if v == vx:
-                vmap[(side, v)] = joint
-            else:
-                nv = f"{side}.{v}"
-                vmap[(side, v)] = nv
-                vertices.append(nv)
-    edges = []
-    emap = {}
-    for side, m in ((1, model1), (2, model2)):
-        for name, e in m.edges.items():
-            ne = f"{side}.{name}"
-            emap[(side, name)] = ne
-            edges.append((ne, vmap[(side, e.u)], vmap[(side, e.v)], e.length))
+    vertices, edges, vmap, emap = _union(model1, model2, {(1, v1): joint, (2, v2): joint})
     model = GraphModel(vertices, edges)
 
     def carry(side, d: GraphDivisor) -> GraphDivisor:
@@ -294,11 +267,9 @@ def gamma_sharp(wg: WeightedGraph, loop_lengths=None) -> GraphModel:
 
 
 def sharp_rank(wg: WeightedGraph, d: GraphDivisor, loop_lengths=None, seed=0) -> int:
-    """Direct rank of d on the loop-augmented graph."""
-    sharp = gamma_sharp(wg, loop_lengths)
-    same = {(0, n): n for n in [*wg.model.vertices, *wg.model.edges]}
-    out = GraphDivisor({_carry(sharp, same, same, 0, p): c for p, c in d.coeffs.items()})
-    return graph_rank(sharp, out, seed=seed)
+    """Direct rank of d on the loop-augmented graph, which keeps every vertex
+    and edge name of wg.model, so d's points name the same places there."""
+    return graph_rank(gamma_sharp(wg, loop_lengths), d, seed=seed)
 
 
 # -- vertex-twist upper bound ---------------------------------------------------

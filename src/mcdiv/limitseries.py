@@ -14,7 +14,7 @@ from .complexes import ComplexDivisor, MetrizedComplex
 from .curves import AuditReport, CurveDivisor, P1Oracle
 from .errors import FieldTooSmallError, InputError, McdivError
 from .exact import INF, MatrixF, Poly, RationalFunc, _val0, laurent_at, ord_at
-from .rank import _largest_k, _potentials, point_divisor, rank, site_divisor
+from .rank import _first_twist, _largest_k, _potentials, rank, site_divisor
 
 
 class FunctionSpace:
@@ -419,19 +419,9 @@ def restricted_eta(cx, d, x, spaces, k) -> int:
     cap = max(0, min(dims) - 1) if dims else None
     if cap is not None and k > cap:
         raise InputError(f"restricted rank never reaches {k}; cap is {cap}")
-    n = k - d.degree()
-    guard = 0
-    while True:
-        r = restricted_rank(cx, d + point_divisor(cx, x, n), spaces)
-        if r >= k:
-            return n
-        n += 1
-        guard += 1
-        if guard > 4 * (abs(d.degree()) + k + cx.genus() + 4):
-            raise InputError(
-                f"restricted rank never reaches {k} at this attachment point "
-                "(scan bound exhausted)"
-            )
+    return _first_twist(
+        cx, d, x, k, k - d.degree(), lambda e: restricted_rank(cx, e, spaces)
+    )
 
 
 def limit_equiv_audit(cx, aspects, root, d: int, r: int) -> AuditReport:

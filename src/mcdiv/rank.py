@@ -348,6 +348,19 @@ def point_divisor(cx, pt, mult=1) -> ComplexDivisor:
     return cx.chips([(pt, mult)])
 
 
+def _first_twist(cx, d, x, k, lo, rank_of) -> int:
+    """The smallest n >= lo with rank_of(d + n*(x)) >= k.  The scan stops
+    after 4(|deg d| + k + g + 4) further twists; the plain rank reaches k
+    within g + 1 of them, since r(D) >= deg D - g."""
+    bound = 4 * (abs(d.degree()) + k + cx.genus() + 4)
+    for n in range(lo, lo + bound + 1):
+        if rank_of(d + point_divisor(cx, x, n)) >= k:
+            return n
+    raise InputError(
+        f"rank never reaches {k} at this attachment point (scan bound exhausted)"
+    )
+
+
 def is_weierstrass(cx, pt, seed=0) -> bool:
     """Whether rank of genus times the point is at least one."""
     g = cx.genus()

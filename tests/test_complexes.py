@@ -23,7 +23,7 @@ from mcdiv.complexes import (
 )
 from mcdiv.curves import EllipticOracle, O_POINT, P1Oracle, genus2_table_oracle
 from mcdiv.errors import InputError
-from mcdiv.exact import INF, PrimeField, QQ
+from mcdiv.exact import INF, Poly, PrimeField, QQ, RationalFunc
 from mcdiv.io import curve_point_json, divisor_json, graph_point_json
 from mcdiv.metric import GraphDivisor, GraphModel, GraphPoint, PLFunction
 
@@ -217,6 +217,15 @@ class TestDivOf:
         pts = line.sample_points(2)
         fn = line.principal_witness(line.divisor((pts[0], 1), (pts[1], -1)))
         with pytest.raises(InputError, match="^explicit function witness needs a P1 at s$"):
+            ComplexRationalFunction(cx, PLFunction.constant(cx.model), {"s": fn})
+
+    @pytest.mark.parametrize("field", [PrimeField(5), QQ], ids=["F5", "Q"])
+    @pytest.mark.parametrize("num", [[3], [1, 1]], ids=["constant", "t+1"])
+    def test_explicit_witness_over_another_field_refused(self, field, num):
+        cx = single_vertex_complex(P1Oracle(PrimeField(7)))
+        fn = RationalFunc.make(Poly.make(field, num), Poly.const(field, 1))
+        msg = f"^explicit function witness at s is over {field}, but the curve there is over F7$"
+        with pytest.raises(InputError, match=msg):
             ComplexRationalFunction(cx, PLFunction.constant(cx.model), {"s": fn})
 
     def test_bad_witness_type_refused(self):

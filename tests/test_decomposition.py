@@ -46,6 +46,21 @@ class TestEta:
         assert fn(0) == 0 and fn(1) == 2
         assert [fn(k) for k in range(2, 7)] == [3, 4, 5, 6, 7]
 
+    def test_scan_is_bounded(self, monkeypatch):
+        cx = graphical_complex(circle_model())
+        calls = []
+
+        def never_reached(cx, d, seed=0):
+            calls.append(d)
+            if len(calls) >= 1000:
+                raise RuntimeError("eta scan ran 1000 ranks")
+            return -1
+
+        monkeypatch.setattr("mcdiv.decomposition.rank", never_reached)
+        with pytest.raises(InputError, match="scan bound exhausted"):
+            EtaFunction(cx, cx.zero_divisor(), cx.model.vertex_point("v"))(0)
+        assert len(calls) == 4 * (cx.genus() + 4) + 1
+
     def test_p1_identity(self):
         cx = single_vertex_complex(P1Oracle(QQ))
         fn = EtaFunction(cx, cx.zero_divisor(), ("s", QQ.elem(0)))
@@ -239,6 +254,34 @@ class TestWeightedRank:
         r1 = sharp_rank(wg, d, {("a", 0): 1, ("b", 0): 1})
         r2 = sharp_rank(wg, d, {("a", 0): Fraction(1, 2), ("b", 0): 3})
         assert r1 == r2 == weighted_rank(wg, d)
+
+
+    def test_sharp_rank_with_interior_chips(self):
+        # chips inside edges, on both halves (`l~a`, `l~b`) of a split loop too
+        circle = circle_model()
+        a, b = circle.point_on("loop~a", Fraction(1, 4)), circle.point_on("loop~b", Fraction(1, 3))
+        v = circle.vertex_point("v")
+        theta = theta_model()
+        p, q = theta.point_on("e1", Fraction(1, 3)), theta.point_on("e2", Fraction(1, 2))
+        u = theta.vertex_point("u")
+        lolli = GraphModel(["a", "b"], [("e", "a", "b", 1), ("l", "b", "b", 2)])
+        s, t = lolli.point_on("l~a", Fraction(1, 2)), lolli.point_on("l~b", Fraction(1, 3))
+        r = lolli.point_on("e", Fraction(1, 3))
+        cases = [
+            (WeightedGraph(circle, {"v": 1}),
+             [[(a, 1)], [(a, 1), (b, 1)], [(a, 2), (b, -1)], [(a, 1), (b, 1), (v, 1)],
+              [(b, 3)], [(a, 1), (b, 2)]]),
+            (WeightedGraph(theta, {"u": 1}),
+             [[(p, 1)], [(p, 1), (q, 1)], [(p, 2), (u, -1)], [(p, 1), (q, 1), (u, 1)],
+              [(q, 3)], [(p, 2), (q, 2)]]),
+            (WeightedGraph(lolli, {"a": 1}),
+             [[(s, 1), (t, 1)], [(s, 1), (r, 1)], [(t, 2), (r, -1)], [(s, 1), (t, 1), (r, 1)],
+              [(r, 3)], [(s, 2), (t, 1), (r, 1)]]),
+        ]
+        for wg, divisors in cases:
+            for chips in divisors:
+                d = GraphDivisor.of(*chips)
+                assert weighted_rank(wg, d) == sharp_rank(wg, d), repr(d)
 
 
 class TestWrank3:
