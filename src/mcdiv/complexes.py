@@ -44,6 +44,7 @@ class MetrizedComplex:
                 raise InputError(f"vertex {v}: marked points must be distinct")
         # memo tables of the rank engine; they only ever gain entries
         self.nonneg_memo = {}  # (rest key, base point) -> what reduction leaves there
+        self.sites_memo = {}  # (seed, oversize) -> rank-determining sites
         self.shortcut_validated = False
 
     # -- structure queries ------------------------------------------------

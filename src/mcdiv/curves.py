@@ -239,14 +239,16 @@ class EllipticOracle(CurveOracle):
         return pt
 
     def all_points(self):
+        """O, then the affine points by x and then y ascending."""
+        roots = {}  # square -> its square roots, ascending
+        for y in range(self.field.p):
+            ye = self.field.elem(y)
+            roots.setdefault(ye * ye, []).append(ye)
         pts = [O_POINT]
         for x in range(self.field.p):
             xe = self.field.elem(x)
             rhs = xe * xe * xe + self.a * xe + self.b
-            for y in range(self.field.p):
-                ye = self.field.elem(y)
-                if ye * ye == rhs:
-                    pts.append(EPoint(xe, ye))
+            pts.extend(EPoint(xe, ye) for ye in roots.get(rhs, ()))
         return pts
 
     def add_points(self, p, q):

@@ -34,16 +34,19 @@ def rank_determining_sites(cx: MetrizedComplex, seed=0, oversize=0):
     must be at least 0.  Finite Picard tables contribute all their
     unmarked points (their coarse class groups need the full pool to stay
     rank-determining); the detection property is audited here and fails
-    loudly when marks exhaust it.
+    loudly when marks exhaust it.  The sites are kept per (seed, oversize)
+    in cx.sites_memo; every call returns a fresh list.
     """
     if seed < 0:
         raise InputError(f"seed must be at least 0, got {seed}")
+    if (seed, oversize) in cx.sites_memo:
+        return list(cx.sites_memo[seed, oversize])
     sites = [cx.model.vertex_point(w) for w in cx.graphical_vertices()]
     for v in cx.oracle_vertices():
         o = cx.oracles[v]
-        marked = list(cx.marks[v].values())
+        marked = set(cx.marks[v].values())
         if hasattr(o, "rank_one_detection"):
-            pts = [p for p in sorted(o.points) if p not in set(marked)]
+            pts = [p for p in sorted(o.points) if p not in marked]
             if not o.rank_one_detection(pts):
                 raise InputError(
                     f"table oracle at {v}: marked points exhaust the "
@@ -59,7 +62,8 @@ def rank_determining_sites(cx: MetrizedComplex, seed=0, oversize=0):
             pts = o.sample_points(need, avoid=marked)
             pts = pts[seed % len(pts) :] + pts[: seed % len(pts)]
         sites.extend((v, p) for p in pts[:need])
-    return sites
+    cx.sites_memo[seed, oversize] = sites
+    return list(sites)
 
 
 def site_divisor(cx, multiset) -> ComplexDivisor:

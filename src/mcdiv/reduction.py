@@ -215,12 +215,13 @@ def _witness(cx, moves) -> ComplexRationalFunction:
 
 
 def _fire(cx, d, cut, moves, debt_mode, check):
-    """Fire the cut through fire_cut and record its move in moves; with
-    check, verify that d plus the move's function alone is the new divisor."""
+    """Fire the cut through fire_cut and record its move in moves, if a list;
+    with check, verify that d plus the move's function alone is the new divisor."""
     d_new, mv = fire_cut(cx, d, cut, debt_mode=debt_mode)
     if check and not (d + _witness(cx, [mv]).divisor() == d_new):
         raise McdivError("internal error: witness identity failed for a firing event")
-    moves.append(mv)
+    if moves is not None:
+        moves.append(mv)
     return d_new
 
 
@@ -268,14 +269,15 @@ def reduce_divisor(cx, d: ComplexDivisor, v0: GraphPoint, cap=DEFAULT_EVENT_CAP,
     firing event, in debt clearing and then in burning, records its move;
     with want_witness (the default) _witness sums them once at the end, on
     one refinement, and with check_witness (the default) the identity is
-    then verified.  With want_witness=False None is returned in place of
-    the witness.  check_each_step verifies each event's move alone against
-    the divisor that event produced, with or without a witness.
+    then verified.  Without want_witness no move outlives clear_debt, and
+    None is returned for the witness.  check_each_step verifies each event's
+    move alone against the divisor it produced, with or without a witness.
     """
     if v0.kind == "v" and v0.where not in cx.model.vertices:
         raise InputError(f"unknown base vertex {v0}")
     start = d
     d, moves = clear_debt(cx, d, v0, cap, check_each_step)
+    moves = moves if want_witness else None  # nothing reads them: let them go
     steps = 0
     while (cut := burn(cx, d, v0)) is not None:
         d = _fire(cx, d, cut, moves, False, check_each_step)

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mcdiv.curves import (
+    EPoint,
     EllipticOracle,
     O_POINT,
     P1Oracle,
@@ -177,6 +178,27 @@ class TestElliptic:
     def test_audit_f5_and_f7(self):
         assert riemann_roch_audit(EllipticOracle(5, 1, 1)).passed()
         assert riemann_roch_audit(EllipticOracle(7, 2, 3)).passed()
+
+    @pytest.mark.parametrize("p, a, b", [
+        (5, 1, 1), (5, 2, 0), (5, 0, 2), (7, 2, 3), (7, 1, 0), (11, 0, 1), (11, 3, 7),
+        (13, 1, 0), (13, 2, 5), (101, 1, 1), (101, 0, 7), (101, 3, 0), (101, 100, 50),
+    ])
+    def test_all_points_match_the_double_loop(self, p, a, b):
+        """The square-root table lists exactly the points that trying every
+        (x, y) pair finds, in the same order: O, then x and y ascending."""
+        o = EllipticOracle(p, a, b)
+        f = o.field
+        brute = [O_POINT]
+        for x in range(p):
+            xe = f.elem(x)
+            rhs = xe * xe * xe + o.a * xe + o.b
+            for y in range(p):
+                ye = f.elem(y)
+                if ye * ye == rhs:
+                    brute.append(EPoint(xe, ye))
+        assert o.all_points() == brute
+        if b == 0:
+            assert EPoint(f.elem(0), f.elem(0)) in brute  # a point with y = 0
 
 
 class TestTable:

@@ -10,7 +10,7 @@ import pytest
 
 from mcdiv.complexes import as_trivial_complex, graphical_complex
 from mcdiv.complexes import MetrizedComplex, NodalCurveDescription, regularize
-from mcdiv.curves import EllipticOracle, O_POINT, P1Oracle
+from mcdiv.curves import EllipticOracle, O_POINT, P1Oracle, TableOracle, genus2_table_oracle
 from mcdiv.decomposition import WeightedGraph, graph_rank, weighted_rank
 from mcdiv.errors import InputError
 from mcdiv.exact import INF, Poly, PrimeField, QQ, RationalFunc
@@ -148,6 +148,57 @@ class TestRank:
                 assert rank(trivial, trivial.lift_graph_divisor(d)) == rank(
                     bare, bare.lift_graph_divisor(d)
                 )
+
+
+def _table_segment(mark):
+    """A genus-2 table vertex A, its one edge end marked by `mark`, joined to
+    a graphical vertex B."""
+    model = GraphModel(["A", "B"], [("e1", "A", "B", 1)])
+    return MetrizedComplex(model, {"A": genus2_table_oracle()}, {"A": {("e1", 0): mark}})
+
+
+class TestSiteTable:
+    """rank_determining_sites fills cx.sites_memo once per (seed, oversize)
+    and hands out copies; refusals raise every time and store nothing."""
+
+    def test_calls_return_equal_fresh_lists(self):
+        cx, twin = star_elliptic_complex(), star_elliptic_complex()
+        for seed, oversize in ((0, 0), (1, 0), (0, 2)):
+            first = rank_determining_sites(cx, seed, oversize)
+            first.append(("junk", None))
+            again = rank_determining_sites(cx, seed, oversize)
+            assert again == first[:-1] == rank_determining_sites(twin, seed, oversize)
+            assert again is not rank_determining_sites(cx, seed, oversize)
+        assert set(cx.sites_memo) == {(0, 0), (1, 0), (0, 2)}
+
+    def test_one_table_audit_per_rr_audit(self):
+        cx = _table_segment("L01")
+        audit = TableOracle.rank_one_detection
+        calls = []
+
+        def counting(self, residual_points):
+            calls.append(list(residual_points))
+            return audit(self, residual_points)
+
+        d = cx.chips([(("A", "L02"), 1)])
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(TableOracle, "rank_one_detection", counting)
+            assert rr_audit(cx, d).passed()
+        assert len(calls) == 1
+
+    def test_refusals_raise_every_time_and_store_nothing(self):
+        exhausted = _table_segment("L09")  # without L09 no point detects every rank-0 class
+        good = _table_segment("L01")
+        for _ in range(2):
+            with pytest.raises(InputError, match="exhaust"):
+                rank_determining_sites(exhausted)
+            with pytest.raises(InputError, match="seed"):
+                rank_determining_sites(good, seed=-1)
+        assert exhausted.sites_memo == {} and good.sites_memo == {}
+        assert rank_determining_sites(good)
+        with pytest.raises(InputError, match="seed"):
+            rank_determining_sites(good, seed=-1)
+        assert list(good.sites_memo) == [(0, 0)]
 
 
 class TestLinearEquiv:
@@ -424,12 +475,12 @@ class TestNoHiddenState:
         assert rank(cx, k) == 1
         assert rank(cx, k + k) == 2  # above 2g - 2: the validated shortcut
         assert nonneg_rank(cx, k - chip)
-        assert cx.nonneg_memo and cx.shortcut_validated
+        assert cx.nonneg_memo and cx.sites_memo and cx.shortcut_validated
         assert set(vars(cx)) == before
 
     def test_rank_memo_keeps_no_reference_cycle(self):
-        # the memo holds keys and leftovers, never a ComplexDivisor, which
-        # points back to its complex: with the cycle collector off, the
+        # the memos hold keys, leftovers and sites, never a ComplexDivisor,
+        # which points back to its complex: with the cycle collector off, the
         # complex must die with its last outside reference
         doc = parse_document(THETA_JSON.read_text())
         cx, k = doc.complex, doc.divisors["K"]
@@ -437,7 +488,7 @@ class TestNoHiddenState:
         try:
             assert rank(cx, k) == 1 and rank(cx, k + k) == 2
             assert nonneg_rank(cx, k - doc.divisors["D2"], cx.model.vertex_point("v"))
-            assert cx.nonneg_memo
+            assert cx.nonneg_memo and cx.sites_memo
             ref = weakref.ref(cx)
             del doc, cx, k
             assert ref() is None

@@ -1,6 +1,7 @@
 """Burning, saturated cuts, cut firing, and base-point reduction."""
 
 import itertools
+import weakref
 from fractions import Fraction
 from pathlib import Path
 
@@ -579,6 +580,31 @@ def test_event_cap_stops_debt_clearing():
     with pytest.raises(BudgetError, match="^debt clearing exceeded 1 events$"):
         reduce_divisor(cx, d, v0, cap=1)
     reduce_divisor(cx, d, v0, cap=2)
+
+
+@pytest.mark.parametrize("want_witness", [True, False])
+def test_moves_outlive_their_event_only_for_a_witness(want_witness):
+    """Each burning pass counts the move records still alive: with a
+    witness every record lives until the sum; without one nothing reads
+    them, and none is left once debt clearing returns."""
+    cx, d, v0, _a = _two_phase_case()
+    fire_cut_, burn_ = reduction.fire_cut, reduction.burn
+    refs, alive = [], []
+
+    def recording_fire_cut(*args, **kwargs):
+        out = fire_cut_(*args, **kwargs)
+        refs.append(weakref.ref(out[1]))
+        return out
+
+    def counting_burn(*args, **kwargs):
+        alive.append(sum(ref() is not None for ref in refs))
+        return burn_(*args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(reduction, "fire_cut", recording_fire_cut)
+        mp.setattr(reduction, "burn", counting_burn)
+        reduce_divisor(cx, d, v0, want_witness=want_witness)
+    assert alive == ([2, 3, 4] if want_witness else [0, 0, 0])
 
 
 class TestEachStepCheck:
