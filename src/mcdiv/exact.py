@@ -221,16 +221,18 @@ class Poly:
     def divmod(self, o):
         if o.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
-        q = Poly(self.field, ())
-        r = self
-        inv_lead = self.field.one() / o.lead()
-        while not r.is_zero() and r.degree >= o.degree:
-            shift = r.degree - o.degree
-            c = r.lead() * inv_lead
-            term = Poly.make(self.field, [self.field.zero()] * shift + [c])
-            q = q + term
-            r = r - term * o
-        return q, r
+        field, n, r = self.field, o.degree, list(self.coeffs)
+        if len(r) <= n:
+            return Poly(field, ()), self
+        inv_lead = field.one() / o.lead()
+        q = []
+        for k in range(len(r) - 1 - n, -1, -1):
+            c = r.pop() * inv_lead
+            q.append(c)
+            if c:
+                for j in range(n):
+                    r[k + j] = r[k + j] - c * o.coeffs[j]
+        return Poly.make(field, q[::-1]), Poly.make(field, r)
 
     def __mod__(self, o):
         return self.divmod(o)[1]
@@ -505,4 +507,30 @@ class MatrixF:
         return m, pivots
 
     def rank(self):
-        return len(self.rref()[1])
+        """Over F_p the pivot count of rref.  Over Q each nonzero row is
+        scaled to integers and eliminated fraction-free (Bareiss): after k
+        pivots an entry is a (k+1)-minor, so dividing by the previous pivot
+        is exact."""
+        if not isinstance(self.field, Rationals):
+            return len(self.rref()[1])
+        m = []
+        for row in self.rows:
+            den = math.lcm(*[x.denominator for x in row])
+            ints = [x.numerator * (den // x.denominator) for x in row]
+            if any(ints):
+                m.append(ints)
+        nr, nc = len(m), (len(m[0]) if m else 0)
+        r, prev = 0, 1
+        for c in range(nc):
+            piv = next((i for i in range(r, nr) if m[i][c]), None)
+            if piv is None:
+                continue
+            m[r], m[piv] = m[piv], m[r]
+            p, top = m[r][c], m[r]
+            if c + 1 < nc:  # the last column needs only its pivot
+                for i in range(r + 1, nr):
+                    a = m[i][c]
+                    m[i] = [(p * x - a * y) // prev for x, y in zip(m[i], top)]
+            prev = p
+            r += 1
+        return r

@@ -130,21 +130,12 @@ def _wronskian(polys):
         cur = [q.derivative() for q in cur]
     det = Poly(field, ())
     for perm in itertools.permutations(range(n)):
-        sign = _perm_sign(perm)
         term = Poly.const(field, 1)
         for i, j in enumerate(perm):
             term = term * rows[i][j]
-        det = det + (term if sign > 0 else -term)
+        odd = sum(a > b for a, b in itertools.combinations(perm, 2)) % 2
+        det = det - term if odd else det + term
     return det
-
-
-def _perm_sign(perm):
-    sign = 1
-    for i in range(len(perm)):
-        for j in range(i + 1, len(perm)):
-            if perm[i] > perm[j]:
-                sign = -sign
-    return sign
 
 
 def ramification_points(space: FunctionSpace):
@@ -297,44 +288,41 @@ def _parent_edges(model, root):
 # -- restricted rank -----------------------------------------------------------
 
 
-def _restricted_sites(cx, d, spaces, fresh):
-    """Places for restricted-rank test chips: the point of each graphical
-    vertex, then (v, q) for the curve points q of each component v where
+def _special_pools(cx, d, spaces):
+    """For each oracle vertex v: the curve points of the component where
     something special can happen (marked points, divisor support, basis
-    zeros and poles, ramification points) and a few fresh generic points,
-    one place per point key."""
-    sites = [cx.model.vertex_point(w) for w in cx.graphical_vertices()]
+    zeros and poles, ramification points), sorted, then INF; and whether
+    the basis Wronskian vanishes, which asks for three more fresh points."""
+    pools = {}
     for v in cx.oracle_vertices():
-        o = cx.oracles[v]
         space = spaces[v]
-        special = set()
-        for q in cx.marks[v].values():
-            special.add(q)
-        for q in d.curve_part(v).support():
-            if q is not INF:
-                special.add(q)
+        special = set(cx.marks[v].values())
+        special.update(q for q in d.curve_part(v).support() if q is not INF)
         special.update(space.poles)
         for f in space.basis:
-            nroots, _ = f.num.rational_roots()
-            special.update(nroots)
+            special.update(f.num.rational_roots()[0])
         ram = ramification_points(space)
-        if ram is None:
-            fresh_here = fresh + 3
-        else:
-            special.update(ram)
-            fresh_here = fresh
-        pool = sorted(special, key=o.point_key)
-        pool.append(INF)
+        special.update(ram or ())
+        pools[v] = (sorted(special, key=cx.oracles[v].point_key) + [INF], ram is None)
+    return pools
+
+
+def _restricted_sites(cx, pools, fresh):
+    """Places for restricted-rank test chips: the point of each graphical
+    vertex, then (v, q) for the special points q of each component v and a
+    few fresh generic points, one place per point key."""
+    sites = [cx.model.vertex_point(w) for w in cx.graphical_vertices()]
+    for v, (pool, degenerate) in pools.items():
+        o = cx.oracles[v]
         avoid = set(pool)
         try:
-            extra = o.sample_points(fresh_here, avoid=avoid)
+            extra = o.sample_points(fresh + 3 if degenerate else fresh, avoid=avoid)
         except FieldTooSmallError:
             # small field: take every remaining point; the pool is then
             # exhaustive for the component
             extra = [p for p in o.sample_points(min(o.field.p + 1, 64)) if p not in avoid]
-        pool.extend(extra)
         seen = set()
-        for q in pool:
+        for q in pool + extra:
             kq = o.point_key(q)
             if kq not in seen:
                 seen.add(kq)
@@ -342,23 +330,34 @@ def _restricted_sites(cx, d, spaces, fresh):
     return sites
 
 
-def _restricted_feasible(cx, d, e_div, spaces, bound):
+def _restricted_feasible(cx, d, e_div, spaces, bound, verdicts):
     """Whether some integer vertex potential and per-vertex elements of
-    the given spaces make d - e_div + div(f) effective."""
+    the given spaces make d - e_div + div(f) effective.
+
+    The test at an oracle vertex v reads only its rest d_v - e_v and the
+    differences f(w) - f(v) along the edges at v, so `verdicts` keeps its
+    answer under (v, rest key, differences) for the caller to share."""
     graph = {p.where: c for p, c in (d.graph - e_div.graph).coeffs.items()}
     rest = {v: d.curve_part(v) - e_div.curve_part(v) for v in cx.oracle_vertices()}
+    keys = {v: r.key() for v, r in rest.items()}
+    ends = {
+        w: [e.v if end == 0 else e.u for e, end in cx.model.incident_edges(w)]
+        for w in cx.model.vertices
+    }
+
+    def meets(v, f):
+        key = (v, keys[v], tuple(f[w] - f[v] for w in ends[v]))
+        if key not in verdicts:
+            verdicts[key] = spaces[v].subspace_meets(rest[v] + cx.vertex_twist(v, f))
+        return verdicts[key]
+
     # graphical degrees first, then the spaces
     return any(
         all(
-            graph.get(w, 0)
-            + sum(f[e.v if end == 0 else e.u] - f[w] for e, end in cx.model.incident_edges(w))
-            >= 0
+            graph.get(w, 0) + sum(f[x] - f[w] for x in ends[w]) >= 0
             for w in cx.graphical_vertices()
         )
-        and all(
-            spaces[v].subspace_meets(rest[v] + cx.vertex_twist(v, f))
-            for v in cx.oracle_vertices()
-        )
+        and all(meets(v, f) for v in cx.oracle_vertices())
         for f in _potentials(list(cx.model.vertices), bound)
     )
 
@@ -385,13 +384,15 @@ def restricted_rank(cx, d: ComplexDivisor, spaces, validate=False) -> int:
     dims = [spaces[v].dim for v in cx.oracle_vertices()]
     cap = max(0, min(dims) - 1) if dims else max(d.degree(), -1)
 
+    pools = _special_pools(cx, d, spaces)
+    verdicts = {}  # shared by both passes; see _restricted_feasible
+
     def rank_with(widen, fresh):
-        sites = _restricted_sites(cx, d, spaces, fresh)
         base = d.deg_plus() + widen
         r = _largest_k(
-            sites,
+            _restricted_sites(cx, pools, fresh),
             lambda combo: _restricted_feasible(
-                cx, d, site_divisor(cx, combo), spaces, base + len(combo)
+                cx, d, site_divisor(cx, combo), spaces, base + len(combo), verdicts
             ),
             cap + 1,
         )

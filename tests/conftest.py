@@ -8,8 +8,10 @@ from fractions import Fraction
 import pytest
 
 from mcdiv.complexes import ComplexRationalFunction, MetrizedComplex
+from mcdiv.complexes import NodalCurveDescription, regularize
 from mcdiv.curves import EllipticOracle, O_POINT, P1Oracle, genus2_table_oracle
-from mcdiv.exact import PrimeField
+from mcdiv.exact import Poly, PrimeField, QQ, RationalFunc
+from mcdiv.limitseries import FunctionSpace
 from mcdiv.metric import GraphModel, PLFunction
 
 
@@ -202,6 +204,38 @@ def random_witness(rng: random.Random, cx) -> ComplexRationalFunction:
                 a, b, c, d = quads[rng.randrange(len(quads))]
                 wits[v] = o.divisor((a, 1), (b, 1), (c, -1), (d, -1))
     return ComplexRationalFunction(cx, f, wits)
+
+
+def line_chain(n):
+    """Chain of n projective lines over Q: C_i meets C_{i+1} at 1 on C_i
+    (0 on C_0) and at 0 on C_{i+1}."""
+    comps = {f"C{i}": P1Oracle(QQ) for i in range(n)}
+    nodes = []
+    for i in range(n - 1):
+        nodes.append((f"C{i}", QQ.elem(1) if i > 0 else QQ.elem(0),
+                      f"C{i+1}", QQ.elem(0)))
+    return regularize(NodalCurveDescription(comps, nodes))
+
+
+def qq_space(oracle, exps):
+    """Span of the monomials t^e over Q; the exponent "b" stands for the
+    binomial t^2 + t^3."""
+    one = Poly.const(QQ, 1)
+    basis = []
+    for e in exps:
+        coeffs = [0, 0, 1, 1] if e == "b" else [0] * e + [1]
+        basis.append(RationalFunc.make(Poly.make(QQ, coeffs), one))
+    return FunctionSpace(oracle, basis)
+
+
+def space_catalog(d, r):
+    """Subspaces of L(d * inf) of dimension r+1 spanned by monomials up to
+    degree d, plus one binomial twist where it fits."""
+    exps = list(range(d + 1))
+    picks = [c for c in itertools.combinations(exps, r + 1)]
+    if d >= 3 and r + 1 <= 3:
+        picks.append(tuple([0, "b", 3][: r + 1]))
+    return picks
 
 
 @pytest.fixture

@@ -54,10 +54,13 @@ from mcdiv.reduction import reduce_divisor
 
 from conftest import (
     circle_model,
+    line_chain,
+    qq_space,
     random_complex,
     random_divisor,
     random_witness,
     single_vertex_complex,
+    space_catalog,
     star_elliptic_complex,
     theta_model,
 )
@@ -365,35 +368,6 @@ def _rf(num, den=None):
     return RationalFunc.make(num, den or ONE)
 
 
-def _qq_space(oracle, exps):
-    basis = []
-    for e in exps:
-        if e == "b":  # the binomial t^2 + t^3
-            basis.append(_rf(Poly.make(QQ, [0, 0, 1, 1])))
-        else:
-            basis.append(_rf(Poly.make(QQ, [0] * e + [1])))
-    return FunctionSpace(oracle, basis)
-
-
-def _space_catalog(d, r):
-    """Subspaces of L(d * inf) of dimension r+1 spanned by monomials up to
-    degree d, plus one binomial twist where it fits."""
-    exps = list(range(d + 1))
-    picks = [c for c in itertools.combinations(exps, r + 1)]
-    if d >= 3 and r + 1 <= 3:
-        picks.append(tuple([0, "b", 3][: r + 1]))
-    return picks
-
-
-def _chain_regularization(n):
-    comps = {f"C{i}": P1Oracle(QQ) for i in range(n)}
-    nodes = []
-    for i in range(n - 1):
-        nodes.append((f"C{i}", QQ.elem(1) if i > 0 else QQ.elem(0),
-                      f"C{i+1}", QQ.elem(0)))
-    return regularize(NodalCurveDescription(comps, nodes))
-
-
 def test_criterion_9_limit_series_biconditional():
     o_check = P1Oracle(QQ)
     h = FunctionSpace(
@@ -410,7 +384,7 @@ def test_criterion_9_limit_series_biconditional():
         aspects = {}
         for v, exps in zip(vs, combo):
             o = cx.oracles[v]
-            aspects[v] = Aspect(o.divisor((INF, d)), _qq_space(o, exps))
+            aspects[v] = Aspect(o.divisor((INF, d)), qq_space(o, exps))
         ok_crude, _ = crude_limit_check(cx, aspects, d, r)
         div = eqD_divisor(cx, vs[0], {v: aspects[v].divisor for v in vs})
         spaces = {v: aspects[v].space for v in vs}
@@ -420,19 +394,19 @@ def test_criterion_9_limit_series_biconditional():
         checked += 1
 
     # two-component chains: exhaustive over the catalog for d <= 3, r <= 2
-    cx2 = _chain_regularization(2)
+    cx2 = line_chain(2)
     vs2 = list(cx2.model.vertices)
     for d, r in ((1, 0), (2, 1), (3, 1), (3, 2)):
-        for combo in itertools.product(_space_catalog(d, r), repeat=2):
+        for combo in itertools.product(space_catalog(d, r), repeat=2):
             run_instance(cx2, vs2, combo, d, r)
     # three-component chains: exhaustive at d <= 2, strided at d = 3
-    cx3 = _chain_regularization(3)
+    cx3 = line_chain(3)
     vs3 = list(cx3.model.vertices)
     for d, r in ((1, 0), (2, 1)):
-        for combo in itertools.product(_space_catalog(d, r), repeat=3):
+        for combo in itertools.product(space_catalog(d, r), repeat=3):
             run_instance(cx3, vs3, combo, d, r)
     for d, r in ((3, 1), (3, 2)):
-        catalog = _space_catalog(d, r)
+        catalog = space_catalog(d, r)
         triples = list(itertools.product(catalog, repeat=3))
         for combo in triples[:: max(1, len(triples) // 12)]:
             run_instance(cx3, vs3, combo, d, r)

@@ -68,6 +68,20 @@ class TestPoly:
         assert q * b + r == a
         assert r.degree < b.degree
 
+    @settings(max_examples=50, deadline=None)
+    @given(st.sampled_from([QQ, PrimeField(7)]),
+           st.lists(fractions, max_size=7), st.lists(fractions, min_size=1, max_size=4))
+    def test_divmod_is_division_with_remainder(self, field, a, b):
+        # q and r are unique with a = q b + r and deg r < deg b
+        if isinstance(field, PrimeField):  # F_7 takes integers
+            a = [x.numerator * x.denominator for x in a]
+            b = [x.numerator * x.denominator for x in b]
+        a, b = Poly.make(field, a), Poly.make(field, b)
+        assume(not b.is_zero())
+        q, r = a.divmod(b)
+        assert q * b + r == a
+        assert r.degree < b.degree
+
     def test_shift(self):
         p = Poly.make(QQ, [0, 0, 1])  # t^2
         assert p.shifted(Fraction(1)) == Poly.make(QQ, [1, 2, 1])
@@ -199,3 +213,46 @@ class TestKernel:
         rows = [[1, 1], [1, 1]]
         m = MatrixF.make(PrimeField(2), rows)
         assert len(rows[0]) - m.rank() == 1
+
+
+entries = st.sampled_from(
+    [Fraction(0), Fraction(1), Fraction(-1), Fraction(2), Fraction(1, 2),
+     Fraction(-3, 4), Fraction(5, 3), Fraction(7, 12), Fraction(-11, 6)]
+)
+
+
+@st.composite
+def q_matrices(draw):
+    """Up to 6x6 matrices over Q, tall or wide, with zeroed rows and
+    columns and rows repeated as scalar multiples or sums of other rows,
+    so that rank deficits are common."""
+    nr, nc = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    rows = [draw(st.lists(entries, min_size=nc, max_size=nc)) for _ in range(nr)]
+    index = st.integers(0, nr - 1)
+    for i, j, c in draw(st.lists(st.tuples(index, index, entries), max_size=3)):
+        rows[i] = [c * x for x in rows[j]]
+    for i, j, k in draw(st.lists(st.tuples(index, index, index), max_size=2)):
+        rows[i] = [x + y for x, y in zip(rows[j], rows[k])]
+    for i in draw(st.lists(index, max_size=2)):
+        rows[i] = [Fraction(0)] * nc
+    for j in draw(st.lists(st.integers(0, nc - 1), max_size=2)):
+        for row in rows:
+            row[j] = Fraction(0)
+    return rows
+
+
+class TestRank:
+    # over Q the rank is fraction-free elimination, over F_p rref's pivots
+
+    @settings(max_examples=300, deadline=None)
+    @given(q_matrices())
+    def test_fraction_free_rank_counts_rref_pivots(self, rows):
+        m = MatrixF.make(QQ, rows)
+        assert m.rank() == len(m.rref()[1])
+        assert MatrixF.make(QQ, list(zip(*rows))).rank() == m.rank()
+
+    def test_pivot_after_a_column_without_one(self):
+        # after the first pivot the second column is zero below it, so the
+        # second pivot is in the third column
+        rows = [[2, 1, 0], [4, 2, 1], [6, 3, 5]]
+        assert MatrixF.make(QQ, rows).rank() == 2

@@ -24,8 +24,11 @@ from mcdiv.limitseries import (
     restricted_rank,
     vanishing_sequence,
 )
+from mcdiv import limitseries
 from mcdiv.metric import GraphModel
-from mcdiv.rank import point_divisor, rank
+from mcdiv.rank import _potentials, point_divisor, rank
+
+from conftest import line_chain, qq_space, space_catalog
 
 
 ONE = Poly.const(QQ, 1)
@@ -421,12 +424,21 @@ class TestRestrictedRankGuards:
 
 
 class TestRestrictedSearchCount:
-    """subspace_meets calls on the inputs of test_two_lines_limit_value,
-    recorded before the rank engines shared one search loop; a change to
-    the order of test chips or potentials, or to the short-circuits, moves
+    """subspace_meets calls on the inputs of test_two_lines_limit_value.
+    Each feasibility test keeps one verdict per (vertex, rest, potential
+    differences at the vertex), shared by both passes of a restricted_rank
+    call, so a repeated vertex test asks no space; a change to the order of
+    test chips or potentials, to the short-circuits or to that key moves
     these counts."""
 
-    @pytest.mark.parametrize("validate, expected", [(False, 75), (True, 191)])
+    @staticmethod
+    def inputs():
+        cx = two_lines()
+        oy, oz = cx.oracles["Y"], cx.oracles["Z"]
+        d = eqD_divisor(cx, "Y", {"Y": oy.divisor((INF, 2)), "Z": oz.divisor((INF, 2))})
+        return cx, d, {"Y": mono(0, 1), "Z": mono(1, 2)}
+
+    @pytest.mark.parametrize("validate, expected", [(False, 53), (True, 78)])
     def test_subspace_meets_calls(self, monkeypatch, validate, expected):
         calls = []
         original = FunctionSpace.subspace_meets
@@ -436,12 +448,83 @@ class TestRestrictedSearchCount:
             return original(self, bound)
 
         monkeypatch.setattr(FunctionSpace, "subspace_meets", counting)
-        cx = two_lines()
-        oy, oz = cx.oracles["Y"], cx.oracles["Z"]
-        d = eqD_divisor(cx, "Y", {"Y": oy.divisor((INF, 2)), "Z": oz.divisor((INF, 2))})
-        spaces = {"Y": mono(0, 1), "Z": mono(1, 2)}
+        cx, d, spaces = self.inputs()
         assert restricted_rank(cx, d, spaces, validate=validate) == 1
         assert len(calls) == expected
+
+    def test_validate_finds_roots_once(self, monkeypatch):
+        # the basis zeros and ramification points of each space are found
+        # once per call and serve both passes
+        runs = {validate: self.inputs() for validate in (False, True)}
+        counts = {}
+        original = Poly.rational_roots
+
+        def counting(self):
+            counts[validate] += 1
+            return original(self)
+
+        monkeypatch.setattr(Poly, "rational_roots", counting)
+        for validate, (cx, d, spaces) in runs.items():
+            counts[validate] = 0
+            assert restricted_rank(cx, d, spaces, validate=validate) == 1
+        assert counts[False] > 0 and counts[True] == counts[False]
+
+
+def _per_potential_feasible(cx, d, e_div, spaces, bound, verdicts):
+    """The feasibility test with no verdict table: every potential that
+    passes the graphical degrees asks subspace_meets at every oracle
+    vertex."""
+    graph = {p.where: c for p, c in (d.graph - e_div.graph).coeffs.items()}
+    for f in _potentials(list(cx.model.vertices), bound):
+        if all(
+            graph.get(w, 0)
+            + sum(f[e.v if end == 0 else e.u] - f[w] for e, end in cx.model.incident_edges(w))
+            >= 0
+            for w in cx.graphical_vertices()
+        ) and all(
+            spaces[v].subspace_meets(
+                d.curve_part(v) - e_div.curve_part(v) + cx.vertex_twist(v, f)
+            )
+            for v in cx.oracle_vertices()
+        ):
+            return True
+    return False
+
+
+class TestVerdictTable:
+    """restricted_rank with the verdict table against the same search with
+    the per-potential feasibility test above, which runs on twin spaces
+    built afresh, so no memo of the first search answers it."""
+
+    @staticmethod
+    def both_ranks(monkeypatch, cx, d, make_spaces, validate=False):
+        fast = restricted_rank(cx, d, make_spaces(), validate=validate)
+        with monkeypatch.context() as m:
+            m.setattr(limitseries, "_restricted_feasible", _per_potential_feasible)
+            slow = restricted_rank(cx, d, make_spaces(), validate=validate)
+        return fast, slow
+
+    # the limit_series strata of the benchmark: (components, d, r)
+    @pytest.mark.parametrize("n, d, r", [
+        (2, 1, 0), (2, 2, 1), (2, 3, 1), (2, 3, 2), (3, 1, 0), (3, 2, 1),
+    ])
+    def test_chain_catalogue(self, monkeypatch, n, d, r):
+        cx = line_chain(n)
+        vs = list(cx.model.vertices)
+        div = eqD_divisor(cx, vs[0], {v: cx.oracles[v].divisor((INF, d)) for v in vs})
+        for combo in itertools.product(space_catalog(d, r), repeat=n):
+            fast, slow = self.both_ranks(
+                monkeypatch, cx, div,
+                lambda: {v: qq_space(cx.oracles[v], exps) for v, exps in zip(vs, combo)},
+            )
+            assert fast == slow, combo
+
+    def test_two_lines_validated(self, monkeypatch):
+        cx, d, _ = TestRestrictedSearchCount.inputs()
+        fast, slow = self.both_ranks(
+            monkeypatch, cx, d, lambda: {"Y": mono(0, 1), "Z": mono(1, 2)}, validate=True
+        )
+        assert fast == slow == 1
 
 
 class TestRestrictedEta:
