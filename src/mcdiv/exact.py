@@ -74,7 +74,8 @@ class Rationals(Field):
     name = "Q"
 
     def elem(self, x):
-        return Fraction(x)
+        # Poly arithmetic over Q mostly hands in Fractions already
+        return x if type(x) is Fraction else Fraction(x)
 
     def zero(self):
         return Fraction(0)

@@ -23,10 +23,18 @@ class GraphPoint:
     where: str  # vertex name or edge name
     offset: Fraction = Fraction(0)
 
+    def __post_init__(self):
+        # hashed once: Fraction.__hash__ takes a modular inverse, and the
+        # numerator and denominator in lowest terms name the offset as well
+        o = self.offset
+        object.__setattr__(self, "_hash", hash((self.kind, self.where, o.numerator, o.denominator)))
+
     def __hash__(self):
-        # Fraction.__hash__ takes a modular inverse; the numerator and
-        # denominator in lowest terms name the offset just as well
-        return hash((self.kind, self.where, self.offset.numerator, self.offset.denominator))
+        return self._hash
+
+    def __reduce__(self):
+        # str hashes differ between processes: a copy is built afresh
+        return GraphPoint, (self.kind, self.where, self.offset)
 
     def __repr__(self):
         if self.kind == "v":
@@ -78,7 +86,10 @@ class GraphModel:
                 self.edges[f"{name}~b"] = Edge(f"{name}~b", mid, u, half)
             else:
                 self.edges[name] = Edge(name, u, v, length)
-        self.vertex_set = vset
+        # one point per vertex, and the edges by name with their end points:
+        # every vertex point handed out is one of these objects
+        self._points = {w: GraphPoint("v", w) for w in self.vertices}
+        self._rows = [(n, e, self._points[e.u], self._points[e.v]) for n, e in sorted(self.edges.items())]
         self._incidence = {w: [] for w in self.vertices}  # vertex -> [(edge, end)], in edge order
         for e in self.edges.values():
             self._incidence[e.u].append((e, 0))
@@ -96,15 +107,15 @@ class GraphModel:
                 if b not in seen:
                     seen.add(b)
                     stack.append(b)
-        if seen != self.vertex_set:
+        if seen != self._points.keys():
             raise InputError("graph is not connected")
 
     # -- point factories -------------------------------------------------
 
     def vertex_point(self, name) -> GraphPoint:
-        if name not in self.vertex_set:
+        if name not in self._points:
             raise InputError(f"unknown vertex {name}")
-        return GraphPoint("v", name)
+        return self._points[name]
 
     def point_on(self, edge_name, offset) -> GraphPoint:
         """Point at rational distance `offset` from the edge's first end."""
@@ -115,9 +126,9 @@ class GraphModel:
         if offset < 0 or offset > e.length:
             raise InputError(f"offset {offset} outside edge {edge_name}")
         if offset == 0:
-            return GraphPoint("v", e.u)
+            return self._points[e.u]
         if offset == e.length:
-            return GraphPoint("v", e.v)
+            return self._points[e.v]
         return GraphPoint("e", edge_name, offset)
 
     def incident_edges(self, vertex):
@@ -166,12 +177,12 @@ class Refinement:
             if not 0 < p.offset < e.length:
                 raise InputError(f"offset {p.offset} not inside edge {p.where}")
             inner[p.where].append(p)
-        self.nodes = [GraphPoint("v", v) for v in model.vertices]
+        self.nodes = list(model._points.values())
         self.redges = []
-        for name, e in sorted(model.edges.items()):
+        for name, e, pu, pv in model._rows:
             pts = sorted(inner[name], key=lambda p: p.offset)
             self.nodes += pts
-            ends = [GraphPoint("v", e.u), *pts, GraphPoint("v", e.v)]
+            ends = [pu, *pts, pv]
             offs = [Fraction(0), *(p.offset for p in pts), e.length]
             for k in range(len(ends) - 1):
                 self.redges.append(REdge(name, offs[k], offs[k + 1], (ends[k], ends[k + 1])))
@@ -324,8 +335,7 @@ class PLFunction:
                 else:
                     bend[re.ends[0]] = bend.get(re.ends[0], 0) + s - prev
                 prev = s
-        vals = {GraphPoint("v", v): sum((f.values[GraphPoint("v", v)] for f in fs), Fraction(0))
-                for v in model.vertices}
+        vals = {p: sum((f.values[p] for f in fs), Fraction(0)) for p in model._points.values()}
         points = [n for f in fs for n in f.ref.nodes if n.kind == "e"]
         return PLFunction.from_slopes(model, points, vals, first, bend)
 

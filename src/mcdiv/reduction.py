@@ -186,7 +186,7 @@ def _witness(cx, moves) -> ComplexRationalFunction:
     a first slope or bend where each stretch from a boundary node to its
     landing starts, the opposite bend where it ends.  Per oracle vertex the
     shifts add up to one function (explicit on a projective line)."""
-    vals = {GraphPoint("v", w): Fraction(0) for w in cx.model.vertices}
+    vals = dict.fromkeys(map(cx.model.vertex_point, cx.model.vertices), Fraction(0))
     points, first, bend, shifts = [], {}, {}, {}
     for mv in moves:
         points += [n for n in mv.cut.refinement.nodes if n.kind == "e"]

@@ -51,6 +51,13 @@ class TestFields:
         x = Fp(a, 7)
         assert x * x.inverse() == Fp(1, 7)
 
+    @given(fractions)
+    def test_rational_elem_keeps_a_fraction(self, f):
+        assert QQ.elem(f) is f
+        assert QQ.elem(f.numerator) == Fraction(f.numerator)
+        assert type(QQ.elem(f.numerator)) is Fraction
+        assert QQ.elem(str(f)) == f and type(QQ.elem(str(f))) is Fraction
+
     @given(fractions, fractions, fractions)
     def test_rational_field_axioms(self, a, b, c):
         assert (a + b) + c == a + (b + c)

@@ -1,9 +1,18 @@
 """Metric graphs: models, refinements, PL functions, orientations."""
 
+import os
+import pickle
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+import mcdiv
 
 from mcdiv.errors import InputError
 from mcdiv.metric import (
@@ -62,6 +71,75 @@ class TestModels:
         for p, q in pairs:
             assert p == q and hash(p) == hash(q)
             assert len({p, q}) == 1
+
+    @given(st.sampled_from("ve"), st.text(max_size=3),
+           st.integers(-9, 9) | st.fractions(max_denominator=12))
+    def test_hash_is_the_value_formula(self, kind, where, offset):
+        p = GraphPoint(kind, where, offset)
+        f = Fraction(offset)
+        alike = [GraphPoint(kind, where, f), GraphPoint(kind, where, Fraction(f.numerator * 3, f.denominator * 3))]
+        if f.denominator == 1:
+            alike.append(GraphPoint(kind, where, f.numerator))
+        for q in alike:
+            assert p == q and hash(p) == hash(q)
+        assert hash(p) == hash((kind, where, f.numerator, f.denominator))
+
+
+class TestPointTables:
+    """A model builds one point per vertex; every vertex point it hands out
+    is that object."""
+
+    MODELS = [segment_model, theta_model, circle_model,
+              lambda: GraphModel(["a", "b"], [("e", "a", "b", 2), ("f", "b", "a", 1), ("l", "a", "a", 3)])]
+
+    @pytest.mark.parametrize("make", MODELS)
+    def test_vertex_point_is_one_object(self, make):
+        g = make()
+        for v in g.vertices:
+            assert g.vertex_point(v) is g.vertex_point(v)
+            assert g.vertex_point(v) == GraphPoint("v", v)
+
+    @pytest.mark.parametrize("make", MODELS)
+    def test_edge_ends_are_the_vertex_points(self, make):
+        g = make()
+        for name, e in g.edges.items():
+            assert g.point_on(name, 0) is g.vertex_point(e.u)
+            assert g.point_on(name, e.length) is g.vertex_point(e.v)
+            assert g.point_on(name, Fraction(0)) is g.vertex_point(e.u)
+
+    @pytest.mark.parametrize("make", MODELS)
+    def test_refinements_use_the_vertex_points(self, make):
+        g = make()
+        inner = [g.point_on(n, e.length * Fraction(k, 3)) for n, e in g.edges.items() for k in (1, 2)]
+        for extra in ([], inner, inner[::3], [*inner, *map(g.vertex_point, g.vertices)]):
+            ref = g.refinement(extra)
+            ends = [p for re in ref.redges for p in re.ends]
+            for p in [*ref.nodes, *ends, *ref.adj]:
+                if p.kind == "v":
+                    assert p is g.vertex_point(p.where)
+
+    def test_pickled_point_rehashes_under_another_hash_seed(self):
+        # str hashes differ between processes, so a point loaded elsewhere
+        # must hash by its own process's formula to be found in a set
+        src = str(Path(mcdiv.__file__).resolve().parents[1])
+        build = ("from fractions import Fraction\n"
+                 "from mcdiv.metric import GraphModel\n"
+                 "g = GraphModel(['alpha', 'beta'], [('edge', 'alpha', 'beta', 3)])\n"
+                 "pts = [g.vertex_point('alpha'), g.vertex_point('beta'), g.point_on('edge', Fraction(1, 3))]\n")
+        load = build + ("import pickle, sys\n"
+                        "old = pickle.loads(sys.stdin.buffer.read())\n"
+                        "assert old == pts and all(p in set(pts) for p in old)\n"
+                        "assert all(hash(p) == hash((p.kind, p.where, p.offset.numerator, p.offset.denominator)) for p in old)\n"
+                        "print('found')\n")
+
+        def run(code, seed, data=b""):
+            env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+            return subprocess.run([sys.executable, "-c", code], input=data, env=env,
+                                  capture_output=True, check=True).stdout
+
+        data = run(build + "import pickle, sys\nsys.stdout.buffer.write(pickle.dumps(pts))\n", "1")
+        assert run(load, "2", data).strip() == b"found"
+        assert pickle.loads(data)[0] == GraphPoint("v", "alpha")
 
 
 class TestRefine:
