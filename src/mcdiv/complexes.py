@@ -131,7 +131,10 @@ class MetrizedComplex:
 
 class ComplexDivisor:
     """A divisor on a metrized complex: a graph part supported on graphical
-    points plus one curve divisor per oracle vertex."""
+    points plus one curve divisor per oracle vertex.  This constructor,
+    `cx.divisor` and `cx.chips` check parts from outside; `_unchecked`
+    builds results from parts already on the complex (sums, multiples,
+    firings, divisors of functions) and only drops empty curve parts."""
 
     def __init__(self, cx: MetrizedComplex, graph: GraphDivisor, curve_parts):
         self.cx = cx
@@ -150,6 +153,14 @@ class ComplexDivisor:
                 raise InputError(f"curve part at {v} built on a foreign oracle")
             if d.coeffs:
                 self.curves[v] = d
+
+    @staticmethod
+    def _unchecked(cx, graph: GraphDivisor, curve_parts) -> "ComplexDivisor":
+        out = object.__new__(ComplexDivisor)
+        out.cx = cx
+        out.graph = graph
+        out.curves = {v: d for v, d in curve_parts.items() if d.coeffs}
+        return out
 
     def curve_part(self, v) -> CurveDivisor:
         return self.curves.get(v, self.cx.oracles[v].zero_divisor())
@@ -179,7 +190,7 @@ class ComplexDivisor:
         curves = dict(self.curves)
         for v, d in o.curves.items():
             curves[v] = curves[v]._combine(d, sign) if v in curves else d.scale(sign)
-        return ComplexDivisor(self.cx, self.graph._combine(o.graph, sign), curves)
+        return ComplexDivisor._unchecked(self.cx, self.graph._combine(o.graph, sign), curves)
 
     def __add__(self, o):
         return self._combine(o, 1)
@@ -188,11 +199,8 @@ class ComplexDivisor:
         return self._combine(o, -1)
 
     def scale(self, k):
-        return ComplexDivisor(
-            self.cx,
-            self.graph.scale(k),
-            {v: d.scale(k) for v, d in self.curves.items()},
-        )
+        return ComplexDivisor._unchecked(
+            self.cx, self.graph.scale(k), {v: d.scale(k) for v, d in self.curves.items()})
 
     def __eq__(self, o):
         return (
@@ -262,7 +270,7 @@ class ComplexRationalFunction:
                 _add_chips(self.cx, graph, curves, re.ends[1], re, -s)
         for v, shift in self._shifts.items():
             curves[v] = curves[v] + shift if v in curves else shift
-        return ComplexDivisor(self.cx, GraphDivisor(graph), curves)
+        return ComplexDivisor._unchecked(self.cx, GraphDivisor(graph), curves)
 
 
 def _marked_point_of_redge(cx, v, redge):

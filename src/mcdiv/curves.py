@@ -20,18 +20,21 @@ from .metric import ChipSum
 
 
 class CurveDivisor(ChipSum):
-    """Finite integer combination of points on one curve."""
+    """Finite integer combination of points on one curve.  This constructor
+    and `oracle.divisor` check every point they keep; `_like` builds sums
+    and multiples unchecked, from points already on the oracle."""
 
     def __init__(self, oracle, coeffs=None):
+        super().__init__(coeffs)
         self.oracle = oracle
-        self.coeffs = {}
-        for p, c in (coeffs or {}).items():
-            if c:
-                oracle.validate_point(p)
-                self.coeffs[p] = int(c)
+        for p in self.coeffs:
+            oracle.validate_point(p)
 
     def _like(self, coeffs):
-        return CurveDivisor(self.oracle, coeffs)
+        out = object.__new__(CurveDivisor)
+        ChipSum.__init__(out, coeffs)
+        out.oracle = self.oracle
+        return out
 
     def _same(self, o):
         return o.oracle is self.oracle

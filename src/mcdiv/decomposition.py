@@ -169,13 +169,8 @@ def connected_sum_rank(cx1, d1, x1, cx2, d2, x2, seed=0) -> int:
     removed at the attachment point)."""
     eta2 = EtaFunction(cx2, d2, x2, seed=seed)
     cap = max(d1.degree() + d2.degree() + cx2.genus() + 1, 0)
-    best = None
-    for k in range(cap + 1):
-        n = eta2(k)
-        term = k + rank(cx1, d1 - point_divisor(cx1, x1, n), seed=seed)
-        if best is None or term < best:
-            best = term
-    return best
+    return min(k + rank(cx1, d1 - point_divisor(cx1, x1, eta2(k)), seed=seed)
+               for k in range(cap + 1))
 
 
 # -- wedges of metric graphs --------------------------------------------------
@@ -238,15 +233,12 @@ def weighted_rank(wg: WeightedGraph, d: GraphDivisor, seed=0) -> int:
     cx = graphical_complex(wg.model)
     vs = [v for v in wg.model.vertices if wg.weight(v) > 0]
     ranges = [range(wg.weight(v) + 1) for v in vs]
-    best = None
-    for combo in itertools.product(*ranges) if vs else [()]:
-        e = GraphDivisor(
-            {wg.model.vertex_point(v): c for v, c in zip(vs, combo) if c}
-        )
-        term = e.degree() + rank(cx, cx.lift_graph_divisor(d - e.scale(2)), seed=seed)
-        if best is None or term < best:
-            best = term
-    return best
+
+    def term(combo):
+        e = GraphDivisor({wg.model.vertex_point(v): c for v, c in zip(vs, combo) if c})
+        return e.degree() + rank(cx, cx.lift_graph_divisor(d - e.scale(2)), seed=seed)
+
+    return min(map(term, itertools.product(*ranges)))
 
 
 def gamma_sharp(wg: WeightedGraph, loop_lengths=None) -> GraphModel:
@@ -290,19 +282,14 @@ def wrank3_bound(cx: MetrizedComplex, d: ComplexDivisor, coeff_cap=2, seed=0) ->
             for k in range(coeff_cap + 1)
         }
     gcx = graphical_complex(cx.model)
-    best = None
-    for combo in itertools.product(range(coeff_cap + 1), repeat=len(vs)):
+
+    def term(combo):
         twist = GraphDivisor(
-            {
-                cx.model.vertex_point(v): etas[v][c]
-                for v, c in zip(vs, combo)
-                if etas[v][c]
-            }
-        )
-        term = sum(combo) + rank(gcx, gcx.lift_graph_divisor(d_gamma - twist), seed=seed)
-        if best is None or term < best:
-            best = term
-    return best
+            {cx.model.vertex_point(v): etas[v][c] for v, c in zip(vs, combo) if etas[v][c]})
+        return sum(combo) + rank(gcx, gcx.lift_graph_divisor(d_gamma - twist), seed=seed)
+
+    # None when coeff_cap < 0 leaves no combination
+    return min(map(term, itertools.product(range(coeff_cap + 1), repeat=len(vs))), default=None)
 
 
 # -- Brill-Noether existence search ----------------------------------------------

@@ -79,6 +79,9 @@ class GraphModel:
                 mid = f"{name}~mid"
                 if mid in vset:
                     raise InputError(f"vertex name {mid} collides with loop split")
+                for half_name in (f"{name}~a", f"{name}~b"):
+                    if half_name in self.edges:
+                        raise InputError(f"loop {name}: its split half collides with edge {half_name}")
                 self.vertices.append(mid)
                 vset.add(mid)
                 half = length / 2
@@ -183,7 +186,8 @@ class Refinement:
             pts = sorted(inner[name], key=lambda p: p.offset)
             self.nodes += pts
             ends = [pu, *pts, pv]
-            offs = [Fraction(0), *(p.offset for p in pts), e.length]
+            # GraphPoint's default offset: one zero shared by every refinement
+            offs = [GraphPoint.offset, *(p.offset for p in pts), e.length]
             for k in range(len(ends) - 1):
                 self.redges.append(REdge(name, offs[k], offs[k + 1], (ends[k], ends[k + 1])))
         self.adj = {n: [] for n in self.nodes}
@@ -195,9 +199,10 @@ class Refinement:
 class ChipSum:
     """Finite integer combination of points, zero coefficients dropped: the
     arithmetic that divisors on the metric graph and on a curve share.  A
-    subclass fixes how a divisor on its carrier is built (its constructor,
-    and `_like` for results), the point order (`_order`), the term format
-    (`_term`) and which operands share its carrier (`_same`)."""
+    subclass fixes how a divisor on its carrier is built (its constructor
+    checks points from outside; `_like`, the unchecked builder, makes the
+    results of `+`, `-` and `scale`), the point order (`_order`), the term
+    format (`_term`) and which operands share its carrier (`_same`)."""
 
     def __init__(self, coeffs=None):
         self.coeffs = {}

@@ -92,10 +92,10 @@ def nonneg_rank(cx, d: ComplexDivisor, v0=None) -> bool:
     o = cx.oracles.get(v0.where) if v0.kind == "v" else None
     if o is None:
         base = d.graph.get(v0)
-        rest = ComplexDivisor(cx, GraphDivisor({**d.graph.coeffs, v0: 0}), d.curves)
+        rest = ComplexDivisor._unchecked(cx, GraphDivisor({**d.graph.coeffs, v0: 0}), d.curves)
     else:
         base = d.curve_part(v0.where)
-        rest = ComplexDivisor(cx, d.graph, {**d.curves, v0.where: o.zero_divisor()})
+        rest = ComplexDivisor._unchecked(cx, d.graph, {**d.curves, v0.where: o.zero_divisor()})
     key = (rest.key(), repr(v0))
     left = cx.nonneg_memo.get(key)
     if left is None:
@@ -290,11 +290,8 @@ def rank_bound_from_nonspecial(cx, d: ComplexDivisor, sample) -> int:
     Always an upper bound for the rank; equality holds when the sample is
     exhaustive for the instance class.
     """
-    best = None
-    for n in sample:
-        nd = n.divisor() if isinstance(n, Moderator) else n
-        val = (d - nd).deg_plus() - 1
-        best = val if best is None else min(best, val)
+    best = min(((d - (n.divisor() if isinstance(n, Moderator) else n)).deg_plus() - 1
+                for n in sample), default=None)
     if best is None:
         raise InputError("empty non-special sample")
     return best

@@ -175,7 +175,7 @@ def fire_cut(cx, d: ComplexDivisor, cut: Cut, debt_mode=False):
                 raise McdivError("internal error: renormalization left the class")
             shifts[v] = shift
             curves[v] = rep
-    d_new = ComplexDivisor(cx, GraphDivisor(graph), curves)
+    d_new = ComplexDivisor._unchecked(cx, GraphDivisor(graph), curves)
     return d_new, Move(cut, eps, landings, shifts)
 
 

@@ -453,6 +453,17 @@ class TestMalformedDocuments:
         assert code == 2
         assert err.startswith(f"input error: {where}: ")
 
+    @pytest.mark.parametrize("edges, message", [
+        ([["f", "u", "v"], ["e~a", "u", "v"], ["e", "u", "u"]],
+         "loop e: its split half collides with edge e~a"),
+        ([["e", "u", "u"], ["e~a", "u", "v"], ["f", "u", "v"]], "duplicate edge name e~a"),
+    ], ids=["half-first", "loop-first"])
+    def test_loop_split_collision_exits_2(self, tmp_path, edges, message):
+        doc = {"format": 1, "complex": {
+            "vertices": [{"name": "u"}, {"name": "v"}],
+            "edges": [{"name": n, "ends": [a, b], "length": "1"} for n, a, b in edges]}}
+        assert _run_canonical(doc, tmp_path) == (2, f"input error: complex: {message}\n")
+
     def test_point_json_that_does_not_parse_exits_2(self, capsys):
         code = main(["eta", str(THETA_JSON), "--divisor", "D1", "--point", "u@{bad", "--k", "1"])
         assert code == 2

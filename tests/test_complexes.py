@@ -3,6 +3,8 @@ functions, chip-firing moves, canonical class, regularization."""
 
 import functools
 import operator
+import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -21,7 +23,7 @@ from mcdiv.complexes import (
     move_swap_curve_part,
     regularize,
 )
-from mcdiv.curves import EllipticOracle, O_POINT, P1Oracle, genus2_table_oracle
+from mcdiv.curves import CurveDivisor, EPoint, EllipticOracle, O_POINT, P1Oracle, genus2_table_oracle
 from mcdiv.errors import InputError
 from mcdiv.exact import INF, Poly, PrimeField, QQ, RationalFunc
 from mcdiv.io import curve_point_json, divisor_json, graph_point_json
@@ -503,3 +505,77 @@ def test_sum_across_complexes_with_same_names_refused():
     for op in (operator.add, operator.sub):
         with pytest.raises(InputError, match="different complexes"):
             op(d, e)
+
+
+F5 = PrimeField(5)
+
+
+def _p1_complex():
+    return single_vertex_complex(P1Oracle(QQ))
+
+
+def _foreign_part(cx):
+    return ComplexDivisor(cx, GraphDivisor(), {"s": P1Oracle(QQ).divisor((INF, 1))})
+
+
+# every entry that takes points from outside, with the message it refuses
+# an invalid or foreign point with; results of arithmetic are not checked again
+CHECKING_ENTRIES = {
+    "oracle.divisor P1/Q": (lambda: P1Oracle(QQ).divisor((F5.elem(1), 1)),
+                            "1 is not a rational point of P1 over Q"),
+    "oracle.divisor P1/F5": (lambda: P1Oracle(F5).divisor((Fraction(1), 1)),
+                             "Fraction(1, 1) is not a point of P1 over F5"),
+    "oracle.divisor E/F5": (lambda: EllipticOracle(5, 1, 1).divisor((EPoint(F5.elem(0), F5.elem(2)), 1)),
+                            "(0,2) is not on the curve"),
+    "oracle.divisor table": (lambda: genus2_table_oracle().divisor(("L99", 1)),
+                             "unknown labeled point 'L99'"),
+    "CurveDivisor": (lambda: CurveDivisor(P1Oracle(F5), {INF: 1, Fraction(1, 2): -1}),
+                     "Fraction(1, 2) is not a point of P1 over F5"),
+    "ComplexDivisor graph chip at an oracle vertex": (
+        lambda: ComplexDivisor(_p1_complex(), GraphDivisor.of((GraphPoint("v", "s"), 1)), {}),
+        "graph part may not sit at oracle vertex s; use the curve part"),
+    "ComplexDivisor foreign oracle": (lambda: _foreign_part(_p1_complex()),
+                                      "curve part at s built on a foreign oracle"),
+    "cx.divisor graph chip at an oracle vertex": (
+        lambda: _p1_complex().divisor(graph_pairs=[(GraphPoint("v", "s"), 1)]),
+        "graph part may not sit at oracle vertex s; use the curve part"),
+    "cx.divisor foreign oracle": (
+        lambda: _p1_complex().divisor(curve_parts={"s": P1Oracle(QQ).divisor((INF, 1))}),
+        "curve part at s built on a foreign oracle"),
+    "cx.chips invalid curve point": (lambda: _p1_complex().chips([(("s", F5.elem(2)), 1)]),
+                                     "2 is not a rational point of P1 over Q"),
+    "cx.chips graph chip at an oracle vertex": (
+        lambda: _p1_complex().chips([(GraphPoint("v", "s"), 1)]),
+        "graph part may not sit at oracle vertex s; use the curve part"),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(CHECKING_ENTRIES))
+def test_checking_entries_refuse_outside_points(entry):
+    build, message = CHECKING_ENTRIES[entry]
+    with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+        build()
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 10**6), k=st.integers(-2, 2))
+def test_unchecked_results_equal_checked_rebuilds(seed, k):
+    """+, - and scale build their results without checking their points
+    again; each equals the divisor rebuilt through the checking
+    constructors, holds only nonzero int coefficients and no empty curve
+    part, and keeps each part on its vertex's oracle."""
+    rng = random.Random(seed)
+    cx = random_complex(rng)
+    a, b = random_divisor(rng, cx), random_divisor(rng, cx)
+    for r in (a + b, a - b, a.scale(k), b.scale(k)):
+        assert r == ComplexDivisor(cx, GraphDivisor(r.graph.coeffs), {
+            v: CurveDivisor(cx.oracles[v], d.coeffs) for v, d in r.curves.items()})
+        assert all(type(c) is int and c for c in r.graph.coeffs.values())
+        for v, d in r.curves.items():
+            assert d.coeffs and d.oracle is cx.oracles[v]
+            assert all(type(c) is int and c for c in d.coeffs.values())
+    for v in cx.oracle_vertices():
+        x, y = a.curve_part(v), b.curve_part(v)
+        for r in (x + y, x - y, x.scale(k)):
+            assert r == CurveDivisor(cx.oracles[v], r.coeffs) and r.oracle is cx.oracles[v]
+            assert all(type(c) is int and c for c in r.coeffs.values())

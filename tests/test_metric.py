@@ -42,6 +42,19 @@ class TestModels:
         assert len(g.vertices) == 3 and len(g.edges) == 4
         assert g.first_betti() == 2
 
+    # a loop e splits into e~a and e~b; a user edge of either name is refused
+    # whichever comes first, so it never silently disappears
+    LOOP_AND_HALF = [("f", "u", "v", 1), ("e~a", "u", "v", 1), ("e", "u", "u", 1)]
+
+    @pytest.mark.parametrize("edges, message", [
+        (LOOP_AND_HALF, "loop e: its split half collides with edge e~a"),
+        (LOOP_AND_HALF[::-1], "duplicate edge name e~a"),
+        ([("e~b", "u", "v", 1), ("e", "u", "u", 1)], "loop e: its split half collides with edge e~b"),
+    ], ids=["half-first", "loop-first", "second-half"])
+    def test_loop_split_never_overwrites_an_edge(self, edges, message):
+        with pytest.raises(InputError, match=f"^{message}$"):
+            GraphModel(["u", "v"], edges)
+
     def test_bracket_in_vertex_name_rejected(self):
         """A vertex "e[1/2]" would print like the midpoint of edge e."""
         with pytest.raises(InputError, match="may not contain"):

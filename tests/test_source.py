@@ -1,6 +1,7 @@
 """Guards over the package source itself: arithmetic stays exact (no float
-or complex values anywhere in src/mcdiv), and every function or method the
-package defines has a caller in the package, the scripts or the benchmark."""
+or complex values anywhere in src/mcdiv), every function or method the
+package defines has a caller in the package, the scripts or the benchmark,
+and every name the benchmark's span tracer wraps still exists."""
 
 import ast
 import re
@@ -72,3 +73,18 @@ def test_every_definition_has_a_caller():
     uncalled = {name for path in PACKAGE for name in _defined_names(ast.parse(path.read_text()))
                 if words[name] == defs[name]}
     assert uncalled == KEPT_WITHOUT_CALLER
+
+
+def test_benchmark_span_table_matches_the_package(monkeypatch):
+    """perfbench/spans.py looks up each method, import site and span name it
+    lists; a rename or deletion there fails here, not in a benchmark run."""
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    import spans
+
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        metrics = spans.layer_metrics(tracer)
+    finally:
+        tracer.uninstall()
+    assert metrics["complexes.divisor.built"] == 0
