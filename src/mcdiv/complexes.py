@@ -16,7 +16,7 @@ from fractions import Fraction
 from .curves import CurveDivisor, P1Oracle
 from .errors import InputError
 from .exact import QQ, RationalFunc
-from .metric import GraphDivisor, GraphModel, GraphPoint, PLFunction
+from .metric import ChipSum, GraphDivisor, GraphModel, GraphPoint, PLFunction
 
 
 class MetrizedComplex:
@@ -64,17 +64,23 @@ class MetrizedComplex:
     def marked_point(self, v, edge_name, end):
         return self.marks[v][(edge_name, end)]
 
+    def _on_marks(self, v, pairs) -> CurveDivisor:
+        """The divisor on C_v of the ((edge name, end), c) pairs: c on the
+        marked point of each edge end, repeated ends summed.  Built
+        unchecked: the marks were checked with the complex."""
+        mk = self.marks[v]
+        return self.oracles[v]._like(ChipSum.tally((mk[end], c) for end, c in pairs))
+
     def marked_divisor(self, v) -> CurveDivisor:
         """A_v: the sum of the marked points of the curve at v."""
-        return self.oracles[v].divisor(*((p, 1) for p in self.marks[v].values()))
+        return self._on_marks(v, ((end, 1) for end in self.marks[v]))
 
     def vertex_twist(self, v, potential) -> CurveDivisor:
         """div_v of an integer vertex potential: slope differences placed
         on the marked points of the curve at v."""
-        return self.oracles[v].divisor(*(
-            (self.marked_point(v, e.name, end), potential[e.v if end == 0 else e.u] - potential[v])
-            for e, end in self.model.incident_edges(v)
-        ))
+        return self._on_marks(v, (
+            ((e.name, end), potential[e.v if end == 0 else e.u] - potential[v])
+            for e, end in self.model.incident_edges(v)))
 
     def lift_point(self, v):
         """Deterministic curve point used to lift graph chips onto C_v: the
@@ -112,12 +118,10 @@ class MetrizedComplex:
     def canonical(self) -> "ComplexDivisor":
         """The canonical divisor: sum over vertices of K_v + A_v, with the
         graphical vertices contributing degree(v) - 2 at the vertex."""
-        pairs = [(self.model.vertex_point(w), self.model.degree(w) - 2)
-                 for w in self.graphical_vertices()]
-        for v in self.oracle_vertices():
-            k_v = self.oracles[v].canonical_divisor() + self.marked_divisor(v)
-            pairs += [((v, p), c) for p, c in k_v.coeffs.items()]
-        return self.chips(pairs)
+        graph = GraphDivisor.of(*((self.model.vertex_point(w), self.model.degree(w) - 2)
+                                  for w in self.graphical_vertices()))
+        return ComplexDivisor._unchecked(self, graph, {
+            v: self.oracles[v].canonical_divisor() + self.marked_divisor(v) for v in self.oracle_vertices()})
 
     def lift_graph_divisor(self, d: GraphDivisor) -> "ComplexDivisor":
         """Lift a metric-graph divisor: oracle-vertex coefficients land on
@@ -134,7 +138,8 @@ class ComplexDivisor:
     points plus one curve divisor per oracle vertex.  This constructor,
     `cx.divisor` and `cx.chips` check parts from outside; `_unchecked`
     builds results from parts already on the complex (sums, multiples,
-    firings, divisors of functions) and only drops empty curve parts."""
+    firings, divisors of functions, K and moderators, whose curve parts sit
+    on checked marks) and only drops empty curve parts."""
 
     def __init__(self, cx: MetrizedComplex, graph: GraphDivisor, curve_parts):
         self.cx = cx
@@ -263,33 +268,33 @@ class ComplexRationalFunction:
         oracle vertex on the marked point the segment meets; div f_v is
         added at v."""
         f = self.f_gamma
-        graph, curves = {}, {}
+        graph, ends = {}, {}
         for re, s in zip(f.ref.redges, f.slopes):
             if s:
-                _add_chips(self.cx, graph, curves, re.ends[0], re, s)
-                _add_chips(self.cx, graph, curves, re.ends[1], re, -s)
+                _add_chips(self.cx, graph, ends, re.ends[0], re, s)
+                _add_chips(self.cx, graph, ends, re.ends[1], re, -s)
+        curves = {v: self.cx._on_marks(v, ps) for v, ps in ends.items()}
         for v, shift in self._shifts.items():
             curves[v] = curves[v] + shift if v in curves else shift
         return ComplexDivisor._unchecked(self.cx, GraphDivisor(graph), curves)
 
 
-def _marked_point_of_redge(cx, v, redge):
-    """Marked point of C_v for the base-edge end a refined segment meets."""
+def _end_of_redge(cx, v, redge):
+    """The base-edge end (edge name, end) at v that a refined segment meets."""
     base = cx.model.edges[redge.base]
     if redge.lo == 0 and redge.ends[0] == cx.model.vertex_point(v):
-        return cx.marks[v][(base.name, 0)]
+        return base.name, 0
     if redge.hi == base.length and redge.ends[1] == cx.model.vertex_point(v):
-        return cx.marks[v][(base.name, 1)]
+        return base.name, 1
     raise InputError("segment does not meet the vertex at a base-edge end")
 
 
-def _add_chips(cx, graph, curves, x, re, c):
-    """Add c chips at the node x of the refined segment re: on the marked
-    point re meets at an oracle vertex, on the graph elsewhere."""
+def _add_chips(cx, graph, ends, x, re, c):
+    """Add c chips at the node x of the refined segment re: at an oracle
+    vertex to its list in ends, on the edge end re meets; on the graph
+    elsewhere."""
     if x.kind == "v" and cx.is_oracle_vertex(x.where):
-        o = cx.oracles[x.where]
-        mp = _marked_point_of_redge(cx, x.where, re)
-        curves[x.where] = curves.get(x.where, o.zero_divisor()) + o.divisor((mp, c))
+        ends.setdefault(x.where, []).append((_end_of_redge(cx, x.where, re), c))
     else:
         graph[x] = graph.get(x, 0) + c
 

@@ -21,8 +21,8 @@ from .metric import ChipSum
 
 class CurveDivisor(ChipSum):
     """Finite integer combination of points on one curve.  This constructor
-    and `oracle.divisor` check every point they keep; `_like` builds sums
-    and multiples unchecked, from points already on the oracle."""
+    and `oracle.divisor` check every point they keep; `oracle._like` builds
+    sums, multiples and divisors on a complex's checked marks unchecked."""
 
     def __init__(self, oracle, coeffs=None):
         super().__init__(coeffs)
@@ -31,10 +31,7 @@ class CurveDivisor(ChipSum):
             oracle.validate_point(p)
 
     def _like(self, coeffs):
-        out = object.__new__(CurveDivisor)
-        ChipSum.__init__(out, coeffs)
-        out.oracle = self.oracle
-        return out
+        return self.oracle._like(coeffs)
 
     def _same(self, o):
         return o.oracle is self.oracle
@@ -55,6 +52,12 @@ class CurveOracle:
 
     def zero_divisor(self):
         return CurveDivisor(self, {})
+
+    def _like(self, coeffs):
+        out = object.__new__(CurveDivisor)
+        ChipSum.__init__(out, coeffs)
+        out.oracle = self
+        return out
 
     def validate_point(self, p):  # pragma: no cover - interface
         raise NotImplementedError

@@ -254,15 +254,9 @@ def eqD_divisor(cx: MetrizedComplex, root, aspect_divisors) -> ComplexDivisor:
     d = degs[root]
     if any(val != d for val in degs.values()):
         raise InputError("aspect divisors must share one degree")
-    parent_edge = _parent_edges(cx.model, root)
-    curves = {}
-    for v in cx.model.vertices:
-        dv = aspect_divisors[v]
-        if v != root:
-            name, end = parent_edge[v]
-            x = cx.marked_point(v, name, end)
-            dv = dv - cx.oracles[v].divisor((x, d))
-        curves[v] = dv
+    curves = {v: aspect_divisors[v] for v in cx.model.vertices}
+    for v, end in _parent_edges(cx.model, root).items():
+        curves[v] = curves[v] - cx._on_marks(v, [(end, d)])
     return cx.divisor(curve_parts=curves)
 
 

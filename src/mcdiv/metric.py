@@ -67,14 +67,16 @@ class GraphModel:
                 raise InputError(f"vertex name {name} may not contain '['")
         vset = set(self.vertices)
         self.edges = {}
+        names = set()  # the input edge names; a loop keeps only its halves in self.edges
         for name, u, v, length in edges:
             length = Fraction(length)
             if length <= 0:
                 raise InputError(f"edge {name}: length must be positive")
             if u not in vset or v not in vset:
                 raise InputError(f"edge {name}: unknown endpoint")
-            if name in self.edges:
+            if name in names or name in self.edges:
                 raise InputError(f"duplicate edge name {name}")
+            names.add(name)
             if u == v:
                 mid = f"{name}~mid"
                 if mid in vset:

@@ -236,11 +236,10 @@ class Moderator:
 
     def divisor(self) -> ComplexDivisor:
         cx, model, pi = self.cx, self.cx.model, self.orientation
-        graph = [(model.vertex_point(w), pi.deg_plus(w) - 1) for w in cx.graphical_vertices()]
-        away = [((v, cx.marked_point(v, e, 0 if model.edges[e].u == v else 1)), 1)
-                for v in cx.oracle_vertices() for e in pi.out_edges(v)]
-        parts = [((v, p), c) for v, dv in self.parts.items() for p, c in dv.coeffs.items()]
-        out = cx.chips(graph + away + parts)
+        graph = GraphDivisor.of(*((model.vertex_point(w), pi.deg_plus(w) - 1) for w in cx.graphical_vertices()))
+        out = ComplexDivisor._unchecked(cx, graph, {
+            v: dv + cx._on_marks(v, (((e, 0 if model.edges[e].u == v else 1), 1) for e in pi.out_edges(v)))
+            for v, dv in self.parts.items()})
         if out.degree() != cx.genus() - 1:
             raise McdivError("moderator degree check failed")
         return out

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .complexes import ComplexDivisor, ComplexRationalFunction, MetrizedComplex
-from .complexes import _add_chips, _marked_point_of_redge
+from .complexes import _add_chips, _end_of_redge
 from .curves import P1Oracle
 from .errors import BudgetError, InputError, McdivError
 from .metric import GraphDivisor, GraphPoint, PLFunction, Refinement
@@ -56,9 +56,8 @@ def _withstands(cx, d, x, segs) -> bool:
     coefficient covers the number of segments."""
     if x.kind == "v" and cx.is_oracle_vertex(x.where):
         v = x.where
-        o = cx.oracles[v]
-        rem = d.curve_part(v) - o.divisor(*((_marked_point_of_redge(cx, v, re), 1) for re in segs))
-        return o.curve_rank(rem) >= 0
+        rem = d.curve_part(v) - cx._on_marks(v, ((_end_of_redge(cx, v, re), 1) for re in segs))
+        return cx.oracles[v].curve_rank(rem) >= 0
     return len(segs) <= d.graph.get(x)
 
 
@@ -150,23 +149,20 @@ def fire_cut(cx, d: ComplexDivisor, cut: Cut, debt_mode=False):
         raise McdivError("internal error: cut has no outgoing segment")
     eps = min(re.length for segs in cut.fronts.values() for re in segs)
     graph = dict(d.graph.coeffs)
-    curves = dict(d.curves)
-    landings = []
+    ends, landings = {}, []
     for x, segs in cut.fronts.items():
         for re in segs:
             land = cx.model.point_on(re.base, re.lo + eps if re.ends[0] == x else re.hi - eps)
-            _add_chips(cx, graph, curves, x, re, -1)
-            _add_chips(cx, graph, curves, land, re, 1)
+            _add_chips(cx, graph, ends, x, re, -1)
+            _add_chips(cx, graph, ends, land, re, 1)
             landings.append((x, re, land))
-    # renormalize boundary oracle vertices inside their curve-divisor class
+    curves = dict(d.curves)
     shifts = {}
-    for x in cut.fronts:
-        if not (x.kind == "v" and cx.is_oracle_vertex(x.where)):
-            continue
-        v = x.where
+    for v, ps in ends.items():
         o = cx.oracles[v]
-        part = curves.get(v, o.zero_divisor())
-        if o.curve_rank(part) < 0:
+        curves[v] = part = d.curve_part(v) + cx._on_marks(v, ps)
+        # renormalize a boundary oracle vertex inside its curve-divisor class
+        if cx.model.vertex_point(v) not in cut.fronts or o.curve_rank(part) < 0:
             continue
         rep = o.effective_representative(part)
         shift = rep - part

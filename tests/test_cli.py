@@ -457,7 +457,8 @@ class TestMalformedDocuments:
         ([["f", "u", "v"], ["e~a", "u", "v"], ["e", "u", "u"]],
          "loop e: its split half collides with edge e~a"),
         ([["e", "u", "u"], ["e~a", "u", "v"], ["f", "u", "v"]], "duplicate edge name e~a"),
-    ], ids=["half-first", "loop-first"])
+        ([["e", "u", "u"], ["e", "u", "v"]], "duplicate edge name e"),
+    ], ids=["half-first", "loop-first", "loop-then-edge"])
     def test_loop_split_collision_exits_2(self, tmp_path, edges, message):
         doc = {"format": 1, "complex": {
             "vertices": [{"name": "u"}, {"name": "v"}],

@@ -23,11 +23,22 @@ from mcdiv.complexes import (
     move_swap_curve_part,
     regularize,
 )
-from mcdiv.curves import CurveDivisor, EPoint, EllipticOracle, O_POINT, P1Oracle, genus2_table_oracle
+from mcdiv.curves import (
+    CurveDivisor,
+    EPoint,
+    EllipticOracle,
+    O_POINT,
+    P1Oracle,
+    TableOracle,
+    genus2_table_oracle,
+)
 from mcdiv.errors import InputError
 from mcdiv.exact import INF, Poly, PrimeField, QQ, RationalFunc
 from mcdiv.io import curve_point_json, divisor_json, graph_point_json
-from mcdiv.metric import GraphDivisor, GraphModel, GraphPoint, PLFunction
+from mcdiv.limitseries import eqD_divisor
+from mcdiv.metric import GraphDivisor, GraphModel, GraphPoint, PLFunction, enumerate_acyclic_orientations
+from mcdiv.rank import Moderator
+from mcdiv.reduction import reduce_divisor
 
 from conftest import (
     random_complex,
@@ -561,9 +572,10 @@ def test_checking_entries_refuse_outside_points(entry):
 @given(seed=st.integers(0, 10**6), k=st.integers(-2, 2))
 def test_unchecked_results_equal_checked_rebuilds(seed, k):
     """+, - and scale build their results without checking their points
-    again; each equals the divisor rebuilt through the checking
-    constructors, holds only nonzero int coefficients and no empty curve
-    part, and keeps each part on its vertex's oracle."""
+    again, and so does the complex's builder of divisors on marked points;
+    each equals the divisor rebuilt through the checking constructors,
+    holds only nonzero int coefficients and no empty curve part, and keeps
+    each part on its vertex's oracle."""
     rng = random.Random(seed)
     cx = random_complex(rng)
     a, b = random_divisor(rng, cx), random_divisor(rng, cx)
@@ -576,6 +588,85 @@ def test_unchecked_results_equal_checked_rebuilds(seed, k):
             assert all(type(c) is int and c for c in d.coeffs.values())
     for v in cx.oracle_vertices():
         x, y = a.curve_part(v), b.curve_part(v)
-        for r in (x + y, x - y, x.scale(k)):
+        # edge ends drawn with repeats and zero coefficients
+        ends = sorted(cx.marks[v])
+        pairs = [(rng.choice(ends), rng.randint(-2, 2)) for _ in range(rng.randint(0, 2 * len(ends)))]
+        on_marks = cx._on_marks(v, pairs)
+        assert on_marks == cx.oracles[v].divisor(*((cx.marks[v][end], c) for end, c in pairs))
+        for r in (x + y, x - y, x.scale(k), on_marks):
             assert r == CurveDivisor(cx.oracles[v], r.coeffs) and r.oracle is cx.oracles[v]
             assert all(type(c) is int and c for c in r.coeffs.values())
+
+
+def _ep(x, y):
+    return EPoint(F5.elem(x), F5.elem(y))
+
+
+def _marked_star():
+    """A projective line over Q at c with two elliptic leaves over F_5.
+    The base point is the center: renormalizing a projective line turns
+    its shift into an explicit function, and the zeros and poles of that
+    function are checked when they are read back."""
+    model = GraphModel(["c", "l1", "l2"], [("ea", "c", "l1", 1), ("eb", "c", "l2", Fraction(1, 2))])
+    c, l1, l2 = P1Oracle(QQ), EllipticOracle(5, 1, 1), EllipticOracle(5, 1, 1)
+    cx = MetrizedComplex(model, {"c": c, "l1": l1, "l2": l2}, {
+        "c": {("ea", 0): Fraction(0), ("eb", 0): Fraction(1)},
+        "l1": {("ea", 1): _ep(0, 1)}, "l2": {("eb", 1): _ep(2, 1)}})
+    p, q = _ep(3, 1), _ep(4, 2)
+    d = cx.divisor(graph_pairs=[(model.point_on("ea", Fraction(1, 2)), 1)], curve_parts={
+        "c": c.divisor((Fraction(5), 2)), "l1": l1.divisor((p, 2)), "l2": l2.divisor((q, 2), (_ep(3, 4), -1))})
+    parts = {"c": c.divisor((Fraction(5), -1)), "l1": l1.divisor((p, 1), (O_POINT, -1)),
+             "l2": l2.divisor((p, 1), (O_POINT, -1))}
+    aspects = {"c": c.divisor((Fraction(5), 2)), "l1": l1.divisor((p, 2)), "l2": l2.divisor((p, 1), (O_POINT, 1))}
+    witnesses = {"c": c.principal_witness(c.divisor((Fraction(5), 1), (Fraction(7), -1)))}
+    values = {"c": 0, "l1": 1, "l2": Fraction(1, 2)}
+    return cx, d, ["c"], parts, ("c", aspects), {"c": 0, "l1": 2, "l2": -1}, values, witnesses
+
+
+def _marked_table():
+    """A genus-2 table vertex t on a loop and a pendant edge; its marks are
+    none of the labels of its canonical divisor."""
+    model = GraphModel(["t", "a", "w"], [("e", "t", "a", 1), ("f", "t", "w", 1), ("g", "w", "t", 1)])
+    t = genus2_table_oracle()
+    cx = MetrizedComplex(model, {"t": t}, {"t": {("e", 0): "L03", ("f", 0): "L05", ("g", 1): "L06"}})
+    d = cx.divisor(graph_pairs=[(model.point_on("g", Fraction(1, 2)), 2), (model.vertex_point("a"), -1)],
+                   curve_parts={"t": t.divisor(("L02", 1), ("L09", -1))})
+    values = {"t": 0, "a": 1, "w": 1}
+    return cx, d, ["t", "a", "w"], {"t": t.divisor_in_class(1, (0,))}, None, {"t": 0, "a": 1, "w": 3}, values, {}
+
+
+MARKED_COMPLEXES = {"P1/elliptic star": _marked_star, "genus-2 table": _marked_table}
+
+
+@pytest.mark.parametrize("name", sorted(MARKED_COMPLEXES))
+def test_marked_points_are_not_checked_again(monkeypatch, name):
+    """The complex checks its marked points when it is built.  Reductions
+    with a witness (burn tests, firings), vertex twists, K, moderators, the
+    eqD divisor and divisors of functions then build their divisors on the
+    marks without passing any mark to validate_point again."""
+    cx, d, bases, parts, eqd, potential, values, witnesses = MARKED_COMPLEXES[name]()
+    mod = Moderator(cx, next(enumerate_acyclic_orientations(cx.model)), parts)
+    f = ComplexRationalFunction(cx, PLFunction(cx.model.refinement(), {
+        cx.model.vertex_point(v): Fraction(x) for v, x in values.items()}), witnesses)
+    checked = []
+
+    def recording(validate_point):
+        def record(oracle, p):
+            checked.append((oracle, p))
+            return validate_point(oracle, p)
+        return record
+
+    for cls in (P1Oracle, EllipticOracle, TableOracle):
+        monkeypatch.setattr(cls, "validate_point", recording(cls.validate_point))
+    for b in bases:
+        reduced, wit = reduce_divisor(cx, d, cx.model.vertex_point(b))
+        assert wit is not None and reduced != d
+    for v in cx.oracle_vertices():
+        cx.vertex_twist(v, potential)
+    cx.canonical()
+    mod.divisor()
+    f.divisor()
+    if eqd:
+        eqD_divisor(cx, *eqd)
+    marks = [(cx.oracles[v], p) for v in cx.oracle_vertices() for p in cx.marks[v].values()]
+    assert [(o, p) for o, p in checked if any(o is mo and p == mp for mo, mp in marks)] == []

@@ -43,14 +43,17 @@ class TestModels:
         assert g.first_betti() == 2
 
     # a loop e splits into e~a and e~b; a user edge of either name is refused
-    # whichever comes first, so it never silently disappears
+    # whichever comes first, so it never silently disappears, and so is a
+    # second edge named e after the loop
     LOOP_AND_HALF = [("f", "u", "v", 1), ("e~a", "u", "v", 1), ("e", "u", "u", 1)]
 
     @pytest.mark.parametrize("edges, message", [
         (LOOP_AND_HALF, "loop e: its split half collides with edge e~a"),
         (LOOP_AND_HALF[::-1], "duplicate edge name e~a"),
         ([("e~b", "u", "v", 1), ("e", "u", "u", 1)], "loop e: its split half collides with edge e~b"),
-    ], ids=["half-first", "loop-first", "second-half"])
+        ([("e", "u", "u", 1), ("e", "u", "v", 1)], "duplicate edge name e"),
+        ([("e", "u", "u", 1), ("e", "u", "u", 1)], "duplicate edge name e"),
+    ], ids=["half-first", "loop-first", "second-half", "loop-then-edge", "two-loops"])
     def test_loop_split_never_overwrites_an_edge(self, edges, message):
         with pytest.raises(InputError, match=f"^{message}$"):
             GraphModel(["u", "v"], edges)
