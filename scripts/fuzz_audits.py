@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Fuzz the core identities: Riemann-Roch, Clifford, and reduced-divisor
+"""Fuzz the core identities: Riemann-Roch, Clifford, site independence of
+the rank (seed 1's sites against seed 0's), and reduced-divisor
 quasi-uniqueness (equal Γ-parts and curve classes, every firing event
 checked) on random small complexes.
 
@@ -16,7 +17,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
 
 from conftest import random_complex, random_divisor, random_witness  # noqa: E402
 
-from mcdiv.rank import clifford_audit, rr_audit  # noqa: E402
+from mcdiv.rank import clifford_audit, rank, rr_audit  # noqa: E402
 from mcdiv.reduction import reduce_divisor  # noqa: E402
 
 
@@ -41,6 +42,10 @@ def main():
         special += rep.data["special"]
         if not rep.passed():
             print(f"FAIL clifford at pair {i}: {d!r}")
+            return 1
+        by_seed = rank(cx, d), rank(cx, d, seed=1)
+        if by_seed[0] != by_seed[1]:
+            print(f"FAIL site independence at pair {i}: ranks {by_seed} with seeds 0, 1 on {d!r}")
             return 1
         w = random_witness(rng, cx)
         v0 = cx.model.vertex_point(cx.model.vertices[0])

@@ -51,7 +51,7 @@ class CurveOracle:
         return CurveDivisor(self, ChipSum.tally(pairs))
 
     def zero_divisor(self):
-        return CurveDivisor(self, {})
+        return self._like({})
 
     def _like(self, coeffs):
         out = object.__new__(CurveDivisor)

@@ -13,12 +13,8 @@ from dataclasses import dataclass
 from .complexes import ComplexDivisor, MetrizedComplex
 from .curves import AuditReport
 from .errors import FieldTooSmallError, InputError, McdivError
-from .metric import AcyclicOrientation, GraphDivisor, GraphPoint, enumerate_acyclic_orientations
+from .metric import AcyclicOrientation, ChipSum, GraphDivisor, GraphPoint, enumerate_acyclic_orientations
 from .reduction import reduce_divisor
-
-
-def default_base_point(cx: MetrizedComplex):
-    return cx.model.vertex_point(cx.model.vertices[0])
 
 
 # -- places on which test divisors are supported ----------------------------
@@ -75,34 +71,38 @@ def site_divisor(cx, multiset) -> ComplexDivisor:
 
 
 def nonneg_rank(cx, d: ComplexDivisor, v0=None) -> bool:
-    """True iff d is linearly equivalent to an effective divisor.
-
-    Being v0-reduced does not depend on the part B of d at v0, so only the
-    rest of d is reduced, and what that leaves at v0 is memoized per rest:
-    one reduction answers every divisor that differs from d only at v0.  d
-    is equivalent to an effective divisor iff leftover + B is non-negative
-    (at an oracle base vertex: has non-negative rank).
-    """
+    """True iff d is linearly equivalent to an effective divisor; v0
+    defaults to the first model vertex (see `_passes`)."""
     if d.degree() < 0:
         return False
     if d.is_effective():
         return True
     if v0 is None:
-        v0 = default_base_point(cx)
+        v0 = cx.model.vertex_point(cx.model.vertices[0])
+    return _passes(cx, _rest(cx, d, v0), d)
+
+
+def _rest(cx, d, v0):
+    """(v0, the oracle at v0 or None, d with its part at v0 removed, its key)."""
     o = cx.oracles.get(v0.where) if v0.kind == "v" else None
-    if o is None:
-        base = d.graph.get(v0)
-        rest = ComplexDivisor._unchecked(cx, GraphDivisor({**d.graph.coeffs, v0: 0}), d.curves)
-    else:
-        base = d.curve_part(v0.where)
-        rest = ComplexDivisor._unchecked(cx, d.graph, {**d.curves, v0.where: o.zero_divisor()})
-    key = (rest.key(), repr(v0))
+    rest = ComplexDivisor._unchecked(cx, GraphDivisor({**d.graph.coeffs, v0: 0}) if o is None else d.graph,
+                                     d.curves if o is None else {**d.curves, v0.where: o.zero_divisor()})
+    return v0, o, rest, (rest.key(), repr(v0))
+
+
+def _passes(cx, split, d, at=()) -> bool:
+    """Whether rest + B ~ an effective divisor, for a `_rest` split and B, d's
+    part at v0 less the chips `at`.  Being v0-reduced ignores B, so what the
+    rest reduces to at v0 is memoized per key and tested with B added."""
+    v0, o, rest, key = split
     left = cx.nonneg_memo.get(key)
     if left is None:
         red, _ = reduce_divisor(cx, rest, v0, want_witness=False)
         # only the leftover: a ComplexDivisor would point back to cx
         left = cx.nonneg_memo[key] = red.graph.get(v0) if o is None else red.curve_part(v0.where)
-    return left + base >= 0 if o is None else o.curve_rank(left + base) >= 0
+    if o is None:
+        return left + d.graph.get(v0) - len(at) >= 0
+    return o.curve_rank(left + d.curve_part(v0.where) - o._like(ChipSum.tally((p, 1) for _, p in at))) >= 0
 
 
 def _largest_k(tests, passes, top) -> int:
@@ -142,14 +142,27 @@ def _validate_shortcut(cx, sites):
 
 
 def _rank_enumerated(cx, d, sites) -> int:
-    # k = 0 tests d itself, so no empty test divisor is built.  A multiset
-    # is tested at the vertex of its last place: places are grouped by
-    # vertex, so multisets that differ only in their last chips share one
-    # reduction
-    return _largest_k(sites, lambda e: nonneg_rank(
-        cx, d - site_divisor(cx, e),
-        e[-1] if isinstance(e[-1], GraphPoint) else cx.model.vertex_point(e[-1][0]),
-    ) if e else nonneg_rank(cx, d), d.degree())
+    """The largest k <= deg d such that d - E is equivalent to an effective
+    divisor for every k-multiset E of sites (k = 0 tests d).  E is tested at
+    the vertex v0 of its last place: d less E's chips off v0 (wherever in E)
+    is one rest per (chips off v0, v0), built and keyed once per call."""
+    where = {s: s if isinstance(s, GraphPoint) else cx.model.vertex_point(s[0]) for s in sites}
+    have = d.is_effective() and {
+        s: d.graph.get(s) if isinstance(s, GraphPoint) else d.curve_part(s[0]).get(s[1]) for s in sites}
+    rests = {}  # (chips off v0, v0) -> the `_rest` split
+
+    def passes(e):
+        if not e:
+            return nonneg_rank(cx, d)
+        v0 = where[e[-1]]
+        if have and all(have[s] >= e.count(s) for s in e):
+            return True  # d - E is effective
+        off = tuple(s for s in e if where[s] != v0)
+        if (off, v0) not in rests:
+            rests[off, v0] = _rest(cx, d - site_divisor(cx, off), v0)
+        return _passes(cx, rests[off, v0], d, [s for s in e if where[s] == v0])
+
+    return _largest_k(sites, passes, d.degree())
 
 
 def rank(cx, d: ComplexDivisor, sites=None, seed=0, audit=False) -> int:
@@ -162,6 +175,8 @@ def rank(cx, d: ComplexDivisor, sites=None, seed=0, audit=False) -> int:
     """
     if sites is None:
         sites = rank_determining_sites(cx, seed)
+    else:
+        site_divisor(cx, sites)  # a caller's places are checked once, here
     deg = d.degree()
     g = cx.genus()
     if deg > 2 * g - 2 and not audit:

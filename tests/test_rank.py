@@ -1,7 +1,9 @@
 """Rank computations and the certified identities around them."""
 
 import gc
+import importlib
 import itertools
+import random
 import weakref
 from fractions import Fraction
 from pathlib import Path
@@ -16,11 +18,14 @@ from mcdiv.errors import InputError
 from mcdiv.exact import INF, Poly, PrimeField, QQ, RationalFunc
 from mcdiv.io import parse_document
 from mcdiv.limitseries import FunctionSpace, restricted_rank, vanishing_sequence
-from mcdiv.metric import GraphDivisor, GraphModel, enumerate_acyclic_orientations
+from mcdiv.metric import GraphDivisor, GraphModel, GraphPoint, enumerate_acyclic_orientations
 from mcdiv.rank import (
     Moderator,
+    _largest_k,
+    _rank_enumerated,
     clifford_audit,
     combinatorial_rank,
+    edge_grid,
     find_weierstrass,
     is_weierstrass,
     linear_equiv,
@@ -33,6 +38,7 @@ from mcdiv.rank import (
     rank_bound_from_nonspecial,
     rank_determining_sites,
     rr_audit,
+    site_divisor,
 )
 
 from conftest import (
@@ -46,6 +52,7 @@ from conftest import (
 )
 
 
+rank_module = importlib.import_module("mcdiv.rank")  # `mcdiv.rank` is also the function
 THETA_JSON = Path(__file__).resolve().parents[1] / "scripts" / "theta.json"
 
 
@@ -155,6 +162,84 @@ def _table_segment(mark):
     a graphical vertex B."""
     model = GraphModel(["A", "B"], [("e1", "A", "B", 1)])
     return MetrizedComplex(model, {"A": genus2_table_oracle()}, {"A": {("e1", 0): mark}})
+
+
+def reference_search(cx, d, sites):
+    """The rank search with one test divisor per multiset: d - E is built
+    for every multiset E and tested at the vertex of E's last place."""
+    return _largest_k(sites, lambda e: nonneg_rank(
+        cx, d - site_divisor(cx, e),
+        e[-1] if isinstance(e[-1], GraphPoint) else cx.model.vertex_point(e[-1][0]),
+    ) if e else nonneg_rank(cx, d), d.degree())
+
+
+class TestSplitSearch:
+    """`_rank_enumerated` keys each test by its rest: d less the chips away
+    from the test vertex.  On twin complexes it must give the reference's
+    ranks from the same reductions and the same memo keys, in the same
+    order, whatever the order of the sites."""
+
+    SITES = {
+        "default": lambda cx, rng: rank_determining_sites(cx),
+        "shuffled": lambda cx, rng: rng.sample(rank_determining_sites(cx), len(rank_determining_sites(cx))),
+        "edge_grid": lambda cx, rng: edge_grid(cx.model, 2),
+    }
+
+    @pytest.fixture
+    def reductions(self, monkeypatch):
+        seen = []
+        real = rank_module.reduce_divisor
+        monkeypatch.setattr(rank_module, "reduce_divisor",
+                            lambda cx, d, *a, **kw: seen.append(d.key()) or real(cx, d, *a, **kw))
+        return seen
+
+    @staticmethod
+    def assert_same_search(reductions, twins, divisors, sites):
+        (ref_cx, cx), (ref_d, d) = twins, divisors
+        reductions.clear()
+        want = reference_search(ref_cx, ref_d, sites)
+        ref_reductions = list(reductions)
+        reductions.clear()
+        assert _rank_enumerated(cx, d, sites) == want, d
+        assert reductions == ref_reductions, d
+        assert list(cx.nonneg_memo) == list(ref_cx.nonneg_memo), d
+
+    @pytest.mark.parametrize("kind", list(SITES))
+    def test_same_ranks_reductions_and_memo_keys(self, kind, reductions):
+        rng = random.Random(f"split-{kind}")
+        seen = set()
+        for case in range(10):
+            twins = [random_complex(random.Random(case)) for _ in range(2)]
+            seen.update(type(twins[1].oracles[v]).__name__ if v in twins[1].oracles else "graphical"
+                        for v in twins[1].model.vertices)
+            sites = self.SITES[kind](twins[1], rng)
+            for _ in range(3):
+                deg, seed = rng.randint(-2, 2 * twins[1].genus() + 1), rng.random()
+                divisors = [random_divisor(random.Random(seed), cx, deg, deg) for cx in twins]
+                self.assert_same_search(reductions, twins, divisors, sites)
+        assert seen == {"graphical", "P1Oracle", "EllipticOracle", "TableOracle"}
+
+    def test_chips_at_the_test_vertex_before_a_chip_elsewhere(self, reductions):
+        # 5 chips on the middle of an edge from a genus-2 table to a line:
+        # the first failing 4-multiset, ((A, L03), (B, 1), (B, 1), (A, L02)),
+        # is tested at A and holds a chip there ahead of its chips at B
+        def build():
+            line = P1Oracle(PrimeField(5))
+            model = GraphModel(["A", "B"], [("e1", "A", "B", 1)])
+            return MetrizedComplex(model, {"A": genus2_table_oracle(), "B": line},
+                                   {"A": {("e1", 0): "L01"}, "B": {("e1", 1): line.sample_points(1)[0]}})
+
+        twins = [build(), build()]
+        b = next(s for s in rank_determining_sites(twins[1]) if s[0] == "B")
+        divisors = [cx.chips([(cx.model.point_on("e1", Fraction(1, 2)), 5)]) for cx in twins]
+        self.assert_same_search(reductions, twins, divisors, [("A", "L03"), b, ("A", "L02")])
+
+    def test_sites_from_a_caller_are_checked(self):
+        cx = star_elliptic_complex()
+        with pytest.raises(InputError, match="carries no curve"):
+            rank(cx, cx.canonical(), sites=[("nowhere", O_POINT)])
+        with pytest.raises(InputError, match="oracle vertex"):
+            rank(cx, cx.canonical(), sites=[cx.model.vertex_point("l1")])
 
 
 class TestSiteTable:
