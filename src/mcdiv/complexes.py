@@ -168,7 +168,7 @@ class ComplexDivisor:
         return out
 
     def curve_part(self, v) -> CurveDivisor:
-        return self.curves.get(v, self.cx.oracles[v].zero_divisor())
+        return self.curves.get(v) or self.cx.oracles[v].zero_divisor()
 
     def degree(self) -> int:
         return self.graph.degree() + sum(d.degree() for d in self.curves.values())

@@ -104,16 +104,21 @@ class GraphModel:
     def _check_connected(self):
         if not self.vertices:
             raise InputError("empty graph")
-        seen = {self.vertices[0]}
-        stack = [self.vertices[0]]
+        if self._reach(self.vertices[0]) != self._points.keys():
+            raise InputError("graph is not connected")
+
+    def _reach(self, start, cut=None):
+        """The vertices reachable from the vertex start once the point cut (if
+        any) is taken out: a vertex cut is never entered, an interior cut's edge never crossed."""
+        seen = {start}
+        stack = [start]
         while stack:
             for e, end in self._incidence[stack.pop()]:
                 b = e.v if end == 0 else e.u
-                if b not in seen:
+                if b not in seen and (cut is None or cut.where != (b if cut.kind == "v" else e.name)):
                     seen.add(b)
                     stack.append(b)
-        if seen != self._points.keys():
-            raise InputError("graph is not connected")
+        return seen
 
     # -- point factories -------------------------------------------------
 

@@ -20,7 +20,7 @@ from .complexes import ComplexDivisor, ComplexRationalFunction, MetrizedComplex
 from .complexes import _add_chips, _end_of_redge
 from .curves import P1Oracle
 from .errors import BudgetError, InputError, McdivError
-from .metric import GraphDivisor, GraphPoint, PLFunction, Refinement
+from .metric import GraphDivisor, GraphPoint, PLFunction, REdge
 
 DEFAULT_EVENT_CAP = 10**6
 
@@ -30,9 +30,9 @@ class Cut:
     """A closed region of the graph: its surviving nodes in a refinement
     and its fronts, each boundary node mapped to the refined segments that
     leave the region there.  The builder of a cut records the fronts as it
-    finds the region."""
+    finds the region, and need not build the refinement."""
 
-    refinement: Refinement
+    points: list  # the refinement's interior points
     nodes: set  # surviving GraphPoints
     fronts: dict  # boundary GraphPoint -> [REdge] leaving the region there
 
@@ -61,20 +61,19 @@ def _withstands(cx, d, x, segs) -> bool:
     return len(segs) <= d.graph.get(x)
 
 
-def _debts(cx, d, v0):
+def _debts(cx, d, v0, owed):
     """What keeps d from being normalized away from v0: (need, repr, point)
     for every negative coefficient and every oracle vertex whose part has
-    negative rank, need being the chips it lacks (at least 1)."""
-    debts = [(-c, repr(p), p) for p, c in d.graph.coeffs.items() if c < 0 and p != v0]
+    negative rank, need being the chips it lacks (at least 1).  Only the
+    oracle vertices missing from owed are scored, into owed (None: no debt)."""
     for v in cx.oracle_vertices():
         vp = cx.model.vertex_point(v)
-        if vp == v0:
-            continue
-        o = cx.oracles[v]
-        part = d.curve_part(v)
-        if o.curve_rank(part) < 0:
-            debts.append((max(o.genus - part.degree(), 1), repr(vp), vp))
-    return debts
+        if v not in owed and vp != v0:
+            o = cx.oracles[v]
+            part = d.curve_part(v)
+            owed[v] = (max(o.genus - part.degree(), 1), repr(vp), vp) if o.curve_rank(part) < 0 else None
+    debts = [(-c, repr(p), p) for p, c in d.graph.coeffs.items() if c < 0 and p != v0]
+    return debts + [t for t in owed.values() if t]
 
 
 def _spread(ref, v0, joins):
@@ -109,7 +108,7 @@ def burn(cx: MetrizedComplex, d: ComplexDivisor, v0: GraphPoint) -> Cut | None:
     The segments along which the fire reached a surviving node are the
     fronts of the cut at that node.
     """
-    debts = _debts(cx, d, v0)
+    debts = _debts(cx, d, v0, {})
     if debts:
         raise InputError(f"unnormalized input: debt at {max(debts)[2]}")
     ref = cx.model.refinement([*d.graph.coeffs, v0])
@@ -120,7 +119,7 @@ def burn(cx: MetrizedComplex, d: ComplexDivisor, v0: GraphPoint) -> Cut | None:
         return None
     nodes = {x for x in ref.nodes if x not in burnt}
     fronts = {y: segs for y, segs in reached.items() if y not in burnt}
-    return Cut(ref, nodes, fronts)
+    return Cut([n for n in ref.nodes if n.kind == "e"], nodes, fronts)
 
 
 def check_saturated(cx, d, cut: Cut) -> bool:
@@ -185,7 +184,7 @@ def _witness(cx, moves) -> ComplexRationalFunction:
     vals = dict.fromkeys(map(cx.model.vertex_point, cx.model.vertices), Fraction(0))
     points, first, bend, shifts = [], {}, {}, {}
     for mv in moves:
-        points += [n for n in mv.cut.refinement.nodes if n.kind == "e"]
+        points += mv.cut.points
         for n in vals:
             if n not in mv.cut.nodes:
                 vals[n] -= mv.eps
@@ -221,6 +220,60 @@ def _fire(cx, d, cut, moves, debt_mode, check):
     return d_new
 
 
+def _debt_cut(cx, d, v0, z):
+    """The region of v0 in the graph minus z, on the refinement by d's
+    support, v0 and z, read from z's star: one walk finds its vertices, an
+    interior node joins with the end of its edge on its side of z, and each
+    direction out of z into it has one front, the nearest node ahead."""
+    model = cx.model
+    points = {p for p in (*d.graph.coeffs, v0, z) if p.kind == "e"}
+
+    def side(p):  # the end of p's edge that p reaches without passing z
+        e = model.edges[p.where]
+        past = z.where == e.name and z.offset < p.offset if z.kind == "e" else z.where == e.u
+        return e.v if past else e.u
+
+    region = model._reach(v0.where if v0.kind == "v" else side(v0), z)
+    nodes = {model._points[w] for w in region} | {p for p in points if p != z and side(p) in region}
+    zero = GraphPoint.offset
+    # (edge, z's offset on it, the offset of the end the direction heads to)
+    dirs = ([(model.edges[z.where], z.offset, to) for to in (zero, model.edges[z.where].length)]
+            if z.kind == "e" else
+            [(e, *((e.length, zero) if end else (zero, e.length))) for e, end in model._incidence[z.where]])
+    fronts = {}
+    for e, at, to in dirs:
+        far = model._points[e.v if to else e.u]
+        if far.where in region:
+            up = at < to
+            ahead = [p for p in points if p.where == e.name and (p.offset > at if up else p.offset < at)]
+            x = (min if up else max)(ahead, key=lambda p: p.offset, default=far)
+            end = x.offset if ahead else to
+            re = REdge(e.name, at, end, (z, x)) if up else REdge(e.name, end, at, (x, z))
+            fronts.setdefault(x, []).append(re)
+    return Cut(list(points), nodes, fronts)
+
+
+def _clear_debt(cx, d, v0, cap, check, moves):
+    """clear_debt's loop, recording each move in moves if a list.  An event
+    changes the curve parts at its fronts and landings only, and a landing
+    at a vertex is z: just those oracle vertices are scored again."""
+    if v0 != (cx.model.point_on(v0.where, v0.offset) if v0.kind == "e" else cx.model.vertex_point(v0.where)):
+        raise InputError(f"{v0} is not a point of the graph")
+    owed = {}
+    steps = 0
+    while debts := _debts(cx, d, v0, owed):
+        z = max(debts)[2]
+        cut = _debt_cut(cx, d, v0, z)
+        d = _fire(cx, d, cut, moves, True, check)
+        for x in (z, *cut.fronts):
+            if x.kind == "v":
+                owed.pop(x.where, None)
+        steps += 1
+        if steps > cap:
+            raise BudgetError(f"debt clearing exceeded {cap} events")
+    return d
+
+
 def clear_debt(cx, d: ComplexDivisor, v0: GraphPoint, cap=DEFAULT_EVENT_CAP,
                check_each_step=False):
     """Make the divisor burnable: every graphical coefficient non-negative
@@ -228,30 +281,14 @@ def clear_debt(cx, d: ComplexDivisor, v0: GraphPoint, cap=DEFAULT_EVENT_CAP,
 
     Repeatedly fires the maximal region containing v0 and avoiding the
     worst debtor z (the largest entry of _debts), pushing chips toward it;
-    the fronts of that region are its segments ending at z.  v0 is the
-    only point allowed to go arbitrarily negative.
+    _debt_cut reads that region and its fronts off z's star, building no
+    refinement.  v0 is the only point allowed to go arbitrarily negative.
 
     Returns (divisor, moves): the fire_cut moves in firing order.  With
     check_each_step each event is verified on its own as it fires.
     """
     moves = []
-    steps = 0
-    while True:
-        debts = _debts(cx, d, v0)
-        if not debts:
-            return d, moves
-        z = max(debts)[2]
-        ref = cx.model.refinement([*d.graph.coeffs, v0, z])
-        # region: component of v0 after deleting z; every segment leaving
-        # it ends at z, and its front is the segment's other end
-        nodes, reached = _spread(ref, v0, lambda y, segs: y != z)
-        fronts = {}
-        for re in reached[z]:
-            fronts.setdefault(re.ends[1] if re.ends[0] == z else re.ends[0], []).append(re)
-        d = _fire(cx, d, Cut(ref, nodes, fronts), moves, True, check_each_step)
-        steps += 1
-        if steps > cap:
-            raise BudgetError(f"debt clearing exceeded {cap} events")
+    return _clear_debt(cx, d, v0, cap, check_each_step, moves), moves
 
 
 def reduce_divisor(cx, d: ComplexDivisor, v0: GraphPoint, cap=DEFAULT_EVENT_CAP,
@@ -265,15 +302,13 @@ def reduce_divisor(cx, d: ComplexDivisor, v0: GraphPoint, cap=DEFAULT_EVENT_CAP,
     firing event, in debt clearing and then in burning, records its move;
     with want_witness (the default) _witness sums them once at the end, on
     one refinement, and with check_witness (the default) the identity is
-    then verified.  Without want_witness no move outlives clear_debt, and
+    then verified.  Without want_witness no event records its move, and
     None is returned for the witness.  check_each_step verifies each event's
     move alone against the divisor it produced, with or without a witness.
     """
-    if v0.kind == "v" and v0.where not in cx.model.vertices:
-        raise InputError(f"unknown base vertex {v0}")
     start = d
-    d, moves = clear_debt(cx, d, v0, cap, check_each_step)
-    moves = moves if want_witness else None  # nothing reads them: let them go
+    moves = [] if want_witness else None  # only a witness reads them
+    d = _clear_debt(cx, d, v0, cap, check_each_step, moves)
     steps = 0
     while (cut := burn(cx, d, v0)) is not None:
         d = _fire(cx, d, cut, moves, False, check_each_step)

@@ -9,13 +9,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mcdiv import reduction
+from mcdiv import metric, reduction
 from mcdiv.complexes import MetrizedComplex, as_trivial_complex, graphical_complex
 from mcdiv.curves import EllipticOracle, O_POINT, P1Oracle
 from mcdiv.errors import BudgetError, InputError, McdivError
 from mcdiv.exact import PrimeField
 from mcdiv.io import parse_document
-from mcdiv.metric import GraphModel, PLFunction, Refinement
+from mcdiv.metric import GraphModel, GraphPoint, PLFunction, REdge, Refinement
 from mcdiv.rank import linear_equiv, nonneg_rank, rank
 from mcdiv.reduction import burn, check_saturated, fire_cut, reduce_divisor
 
@@ -380,7 +380,7 @@ class TestFastPathAgrees:
 def _move_function(cx, mv):
     """One move as its own PL function: on the cut's refinement plus the
     landing points, 0 on the region and -eps elsewhere."""
-    points = [n for n in mv.cut.refinement.nodes if n.kind == "e"]
+    points = [n for n in Refinement(cx.model, mv.cut.points).nodes if n.kind == "e"]
     ref = Refinement(cx.model, points + [land for _x, _re, land in mv.landings])
     return PLFunction(ref, {n: Fraction(0) if n in mv.cut.nodes else -mv.eps for n in ref.nodes})
 
@@ -479,11 +479,12 @@ class TestReducedRestAgrees:
                 assert linear_equiv(cx, d, d2, v0) == _equiv_by_two_reductions(cx, d, d2, v0)
 
 
-def _scanned_fronts(cut):
-    """The fronts found by scanning every refined segment: those with
-    exactly one end in the region, grouped by that end."""
+def _scanned_fronts(cx, cut):
+    """The fronts found by scanning every refined segment of the cut's
+    refinement, rebuilt from its points: those with exactly one end in the
+    region, grouped by that end."""
     out = {}
-    for re in cut.refinement.redges:
+    for re in Refinement(cx.model, cut.points).redges:
         inside = [x for x in re.ends if x in cut.nodes]
         if len(inside) == 1:
             out.setdefault(inside[0], []).append(re)
@@ -519,12 +520,181 @@ class TestCutFronts:
             for v0 in _base_points(cx):
                 reduce_divisor(cx, d, v0, want_witness=False)
         for cut in cuts:
-            scanned = _scanned_fronts(cut)
+            scanned = _scanned_fronts(cx, cut)
             assert set(cut.fronts) == set(scanned)
             for x, segs in cut.fronts.items():
                 assert sorted(segs, key=repr) == sorted(scanned[x], key=repr)
                 for re in segs:
                     assert sum(end in cut.nodes for end in re.ends) == 1
+
+
+def reference_debt_cut(cx, d, v0, z):
+    """The debt cut as a walk of the whole refinement finds it: the
+    refinement by d's support, v0 and z, walked from v0 by _spread without
+    entering z; the segments that reached z are the fronts, each at its
+    other end."""
+    ref = cx.model.refinement([*d.graph.coeffs, v0, z])
+    nodes, reached = reduction._spread(ref, v0, lambda y, segs: y != z)
+    fronts = {}
+    for re in reached[z]:
+        fronts.setdefault(re.ends[1] if re.ends[0] == z else re.ends[0], []).append(re)
+    return reduction.Cut([n for n in ref.nodes if n.kind == "e"], nodes, fronts)
+
+
+def reference_clear_debt(events):
+    """A debt loop that scores every debt anew per event and fires
+    reference_debt_cut, appending (z, cut) per event to events; it stands
+    in for reduction._clear_debt."""
+
+    def loop(cx, d, v0, cap, check, moves):
+        while debts := reduction._debts(cx, d, v0, {}):
+            z = max(debts)[2]
+            cut = reference_debt_cut(cx, d, v0, z)
+            events.append((z, cut))
+            d = reduction._fire(cx, d, cut, moves, True, check)
+        return d
+
+    return loop
+
+
+def _cut_view(cut):
+    """What two cuts must share: interior points, region and fronts."""
+    return (set(cut.points), cut.nodes,
+            {x: sorted(segs, key=repr) for x, segs in cut.fronts.items()})
+
+
+def _all_base_points(model):
+    """Every model vertex and an interior point of every edge."""
+    return [model.vertex_point(w) for w in model.vertices] + [
+        model.point_on(name, e.length / 3) for name, e in sorted(model.edges.items())]
+
+
+class TestDebtCut:
+    """Each debt cut is read from the debtor's star; it must be the cut the
+    walk of the whole refinement finds (reference_debt_cut)."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(small_complexes())
+    def test_every_debt_event_matches_the_refinement_walk(self, case):
+        cx, d = case
+        for v0 in _all_base_points(cx.model):
+            ours, theirs = [], []
+            debt_cut = reduction._debt_cut
+
+            def recording_debt_cut(cx_, d_, v0_, z):
+                cut = debt_cut(cx_, d_, v0_, z)
+                ours.append((z, cut))
+                return cut
+
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(reduction, "_debt_cut", recording_debt_cut)
+                red, wit = reduce_divisor(cx, d, v0, check_each_step=True)
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(reduction, "_clear_debt", reference_clear_debt(theirs))
+                red_ref, wit_ref = reduce_divisor(cx, d, v0, check_each_step=True)
+            assert [z for z, _ in ours] == [z for z, _ in theirs]
+            for (_, cut), (_, ref_cut) in zip(ours, theirs):
+                assert _cut_view(cut) == _cut_view(ref_cut)
+            assert red == red_ref
+            assert wit.f_gamma.ref.nodes == wit_ref.f_gamma.ref.nodes
+            assert wit.f_gamma.values == wit_ref.f_gamma.values
+            assert wit._shifts == wit_ref._shifts
+
+    @staticmethod
+    def _model():
+        # the shape of small_complexes: loop l at A, double edge m1/m2, bridge t
+        return GraphModel(["A", "B", "C"], [
+            ("l", "A", "A", 2), ("m1", "A", "B", 1), ("m2", "A", "B", Fraction(3, 2)),
+            ("t", "B", "C", 1)])
+
+    @pytest.mark.parametrize("case", [
+        "z-inside-the-bridge", "z-at-the-cut-vertex", "v0-before-z-on-the-bridge",
+        "v0-after-z-on-the-bridge", "v0-before-z-on-a-cycle", "two-segments-to-one-front"])
+    def test_explicit_cuts(self, case):
+        model = self._model()
+        cx = graphical_complex(model)
+        A, B, C, mid = (model.vertex_point(w) for w in ("A", "B", "C", "l~mid"))
+
+        def at(edge, offset):
+            return model.point_on(edge, Fraction(offset))
+
+        def seg(edge, lo, hi, a, b):
+            return REdge(edge, Fraction(lo), Fraction(hi), (a, b))
+
+        if case == "z-inside-the-bridge":
+            # chips on both sides of z; only B's side holds v0
+            z, v0 = at("t", "1/2"), A
+            chips = [(at("t", "1/4"), 1), (z, -1), (at("t", "3/4"), 1), (C, 1)]
+            nodes = {A, B, mid, at("t", "1/4")}
+            fronts = {at("t", "1/4"): [seg("t", "1/4", "1/2", at("t", "1/4"), z)]}
+        elif case == "z-at-the-cut-vertex":
+            z, v0 = B, C
+            chips = [(B, -1), (at("t", "1/2"), 1), (at("m1", "1/2"), 1)]
+            nodes = {C, at("t", "1/2")}
+            fronts = {at("t", "1/2"): [seg("t", 0, "1/2", B, at("t", "1/2"))]}
+        elif case == "v0-before-z-on-the-bridge":
+            z, v0 = at("t", "1/2"), at("t", "1/4")
+            chips = [(z, -1), (C, 2)]
+            nodes = {A, B, mid, v0}
+            fronts = {v0: [seg("t", "1/4", "1/2", v0, z)]}
+        elif case == "v0-after-z-on-the-bridge":
+            z, v0 = at("t", "1/2"), at("t", "3/4")
+            chips = [(z, -1), (A, 2)]
+            nodes = {C, v0}
+            fronts = {v0: [seg("t", "1/2", "3/4", z, v0)]}
+        elif case == "v0-before-z-on-a-cycle":
+            # the far side of z is reached round the other edge of the pair
+            z, v0 = at("m1", "1/2"), at("m1", "1/4")
+            chips = [(z, -1), (C, 2)]
+            nodes = {A, B, C, mid, v0}
+            fronts = {v0: [seg("m1", "1/4", "1/2", v0, z)], B: [seg("m1", "1/2", 1, z, B)]}
+        else:
+            # m1 and m2 bare: both end at B; the loop's side is cut off at A
+            z, v0 = A, C
+            chips = [(A, -1), (at("l~a", "1/2"), 1), (C, 2)]
+            nodes = {B, C}
+            fronts = {B: [seg("m1", 0, 1, A, B), seg("m2", 0, "3/2", A, B)]}
+        d = cx.divisor(graph_pairs=chips)
+        assert max(reduction._debts(cx, d, v0, {}))[2] == z
+        cut = reduction._debt_cut(cx, d, v0, z)
+        assert cut.nodes == nodes
+        assert {x: sorted(segs, key=repr) for x, segs in cut.fronts.items()} == {
+            x: sorted(segs, key=repr) for x, segs in fronts.items()}
+        assert _cut_view(cut) == _cut_view(reference_debt_cut(cx, d, v0, z))
+        red, wit = reduce_divisor(cx, d, v0, check_each_step=True)
+        assert d + wit.divisor() == red
+
+    def test_clear_debt_builds_no_refinement(self, monkeypatch):
+        cx, d, v0, _a = _two_phase_case()
+        d = d + cx.divisor(graph_pairs=[(cx.model.point_on("e1", Fraction(2, 3)), -2)])
+        built = []
+        init = metric.Refinement.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(1)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(metric.Refinement, "__init__", counting_init)
+        _red, moves = reduction.clear_debt(cx, d, v0)
+        assert len(moves) >= 3
+        assert built == []
+
+    @pytest.mark.parametrize("want_witness", [True, False])
+    def test_debt_events_record_moves_only_for_a_witness(self, want_witness):
+        cx, d, v0, _a = _two_phase_case()
+        fire = reduction._fire
+        handed = []
+
+        def recording_fire(cx_, d_, cut, moves, debt_mode, check):
+            if debt_mode:
+                handed.append(moves)
+            return fire(cx_, d_, cut, moves, debt_mode, check)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(reduction, "_fire", recording_fire)
+            reduce_divisor(cx, d, v0, want_witness=want_witness)
+        assert len(handed) == 2
+        assert all((moves is not None) == want_witness for moves in handed)
 
 
 THETA_JSON = Path(__file__).resolve().parents[1] / "scripts" / "theta.json"
@@ -580,6 +750,24 @@ def test_event_cap_stops_debt_clearing():
     with pytest.raises(BudgetError, match="^debt clearing exceeded 1 events$"):
         reduce_divisor(cx, d, v0, cap=1)
     reduce_divisor(cx, d, v0, cap=2)
+
+
+@pytest.mark.parametrize("where, message", [
+    (("v", "x", 0), "unknown vertex x"),
+    (("e", "f", Fraction(1, 2)), "unknown edge f"),
+    (("e", "e", 3), "offset 3 outside edge e"),
+    (("e", "e", 0), r"@e\[0\] is not a point of the graph"),
+    (("e", "e", 1), r"@e\[1\] is not a point of the graph"),
+], ids=["unknown-vertex", "unknown-edge", "beyond-the-edge", "at-its-first-end", "at-its-last-end"])
+def test_base_point_off_the_graph_refused(segment, where, message):
+    """Debt clearing reads the base point's edge without a refinement to
+    check it, so it checks the point itself, before any event."""
+    cx, g = segment
+    v0 = GraphPoint(where[0], where[1], Fraction(where[2]))
+    d = cx.divisor(graph_pairs=[(g.point_on("e", Fraction(1, 2)), -1), (g.vertex_point("w"), 2)])
+    for run in (lambda: reduce_divisor(cx, d, v0), lambda: reduction.clear_debt(cx, d, v0)):
+        with pytest.raises(InputError, match=message):
+            run()
 
 
 @pytest.mark.parametrize("want_witness", [True, False])
