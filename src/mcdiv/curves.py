@@ -229,9 +229,12 @@ class EllipticOracle(CurveOracle):
         return pt.y * pt.y == pt.x * pt.x * pt.x + self.a * pt.x + self.b
 
     def validate_point(self, p):
+        """O, or an EPoint on the curve whose coordinates are both Fp over its
+        prime: the group law reads their integers, so no other is accepted."""
         if p is O_POINT:
             return
-        if not isinstance(p, EPoint) or not self.on_curve(p):
+        if not (isinstance(p, EPoint) and isinstance(p.x, Fp) and isinstance(p.y, Fp)
+                and p.x.p == self.field.p == p.y.p and self.on_curve(p)):
             raise InputError(f"{p!r} is not on the curve")
 
     def point_key(self, p):
@@ -257,41 +260,44 @@ class EllipticOracle(CurveOracle):
             pts.extend(EPoint(xe, ye) for ye in roots.get(rhs, ()))
         return pts
 
-    def add_points(self, p, q):
-        if p is O_POINT:
-            return q
-        if q is O_POINT:
-            return p
-        if p.x == q.x and p.y == -q.y:
-            return O_POINT
-        if p == q:
-            s = (self.field.elem(3) * p.x * p.x + self.a) / (self.field.elem(2) * p.y)
+    def _law(self, s, t):
+        """The group law on affine integer pairs (x, y) mod p; O_POINT is O."""
+        if s is O_POINT:
+            return t
+        if t is O_POINT:
+            return s
+        p = self.field.p
+        (x1, y1), (x2, y2) = s, t
+        if x1 != x2:
+            m = (y2 - y1) * pow(x2 - x1, -1, p) % p
+        elif (y1 + y2) % p:
+            m = (3 * x1 * x1 + self.a.v) * pow(2 * y1, -1, p) % p
         else:
-            s = (q.y - p.y) / (q.x - p.x)
-        x = s * s - p.x - q.x
-        y = s * (p.x - x) - p.y
-        return EPoint(x, y)
+            return O_POINT
+        x = (m * m - x1 - x2) % p
+        return x, (m * (x1 - x) - y1) % p
 
-    def neg_point(self, p):
-        if p is O_POINT:
-            return p
-        return EPoint(p.x, -p.y)
+    def _epoint(self, s):
+        return s if s is O_POINT else EPoint(Fp(s[0], self.field.p), Fp(s[1], self.field.p))
 
-    def mul_point(self, n, p):
-        if n < 0:
-            return self.mul_point(-n, self.neg_point(p))
-        acc = O_POINT
-        while n:
-            if n & 1:
-                acc = self.add_points(acc, p)
-            p = self.add_points(p, p)
-            n >>= 1
-        return acc
+    def add_points(self, p, q):
+        return self._epoint(self.group_sum(self._like(ChipSum.tally([(p, 1), (q, 1)]))))
 
     def group_sum(self, d: CurveDivisor):
+        """The sum of d's points as an integer pair (x, y) mod p or O_POINT:
+        double-and-add per point, of the negated point for c < 0."""
         acc = O_POINT
-        for p, c in d.coeffs.items():
-            acc = self.add_points(acc, self.mul_point(c, p))
+        for pt, c in d.coeffs.items():
+            if pt is O_POINT:
+                continue
+            s = (pt.x.v, pt.y.v if c > 0 else -pt.y.v % self.field.p)
+            n = abs(c)
+            while n:
+                if n & 1:
+                    acc = self._law(acc, s)
+                n >>= 1
+                if n:
+                    s = self._law(s, s)
         return acc
 
     def curve_rank(self, d):
@@ -308,12 +314,10 @@ class EllipticOracle(CurveOracle):
 
     def effective_representative(self, d):
         self._check(d)
-        deg = d.degree()
         if self.curve_rank(d) < 0:
             raise InputError("no effective representative")
-        if deg == 0:
-            return self.zero_divisor()
-        return self.divisor((self.group_sum(d), 1), (O_POINT, deg - 1))
+        # in degree 0 the sum is O and the two terms cancel
+        return self.divisor((self._epoint(self.group_sum(d)), 1), (O_POINT, d.degree() - 1))
 
     def canonical_divisor(self):
         return self.zero_divisor()
@@ -373,9 +377,6 @@ class TableOracle(CurveOracle):
     def _gneg(self, a):
         return tuple((-x) % m for x, m in zip(a, self.moduli))
 
-    def _gscale(self, k, a):
-        return tuple((k * x) % m for x, m in zip(a, self.moduli))
-
     def _gzero(self):
         return tuple(0 for _ in self.moduli)
 
@@ -383,12 +384,16 @@ class TableOracle(CurveOracle):
         return [self._norm(t) for t in itertools.product(*[range(m) for m in self.moduli])]
 
     def table_rank(self, deg, cls):
+        return self._rank(deg, self._norm(cls) if 0 <= deg <= 2 * self.genus - 2 else cls)
+
+    def _rank(self, deg, cls):
+        """table_rank of a normalized class."""
         g = self.genus
         if deg < 0:
             return -1
         if deg > 2 * g - 2:
             return deg - g
-        r = self.rank_table.get((deg, self._norm(cls)))
+        r = self.rank_table.get((deg, cls))
         if r is None:
             raise InputError(f"no table entry for degree {deg}, class {cls}")
         return r
@@ -451,15 +456,17 @@ class TableOracle(CurveOracle):
         return (0, p, 0)
 
     def class_of(self, d: CurveDivisor):
-        acc = self._gzero()
+        """(degree, normalized class) of d: each component summed over d's
+        points in one pass, then reduced once mod its modulus."""
+        sums = [0] * len(self.moduli)
         for p, c in d.coeffs.items():
-            acc = self._gadd(acc, self._gscale(c, self.points[p]))
-        return (d.degree(), acc)
+            for i, x in enumerate(self.points[p]):
+                sums[i] += c * x
+        return d.degree(), tuple(s % m for s, m in zip(sums, self.moduli))
 
     def curve_rank(self, d):
         self._check(d)
-        deg, cls = self.class_of(d)
-        return self.table_rank(deg, cls)
+        return self._rank(*self.class_of(d))
 
     def classes_equal(self, d1, d2):
         return self.class_of(d1) == self.class_of(d2)
@@ -467,7 +474,7 @@ class TableOracle(CurveOracle):
     def effective_representative(self, d):
         self._check(d)
         deg, cls = self.class_of(d)
-        if self.table_rank(deg, cls) < 0:
+        if self._rank(deg, cls) < 0:
             raise InputError("no effective representative")
         return self._divisor_in_class(deg, cls)
 

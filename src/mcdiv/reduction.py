@@ -146,15 +146,18 @@ def fire_cut(cx, d: ComplexDivisor, cut: Cut, debt_mode=False):
         raise McdivError("internal error: firing an unsaturated cut")
     if not cut.fronts:
         raise McdivError("internal error: cut has no outgoing segment")
-    eps = min(re.length for segs in cut.fronts.values() for re in segs)
+    spans = [(x, re, re.hi - re.lo) for x, segs in cut.fronts.items() for re in segs]
+    eps = min(span for _, _, span in spans)
     graph = dict(d.graph.coeffs)
     ends, landings = {}, []
-    for x, segs in cut.fronts.items():
-        for re in segs:
-            land = cx.model.point_on(re.base, re.lo + eps if re.ends[0] == x else re.hi - eps)
-            _add_chips(cx, graph, ends, x, re, -1)
-            _add_chips(cx, graph, ends, land, re, 1)
-            landings.append((x, re, land))
+    for x, re, span in spans:
+        # a shortest segment lands on its far end, any other strictly inside
+        fwd = re.ends[0] == x
+        far = re.ends[1] if fwd else re.ends[0]
+        land = far if span == eps else GraphPoint("e", re.base, re.lo + eps if fwd else re.hi - eps)
+        _add_chips(cx, graph, ends, x, re, -1)
+        _add_chips(cx, graph, ends, land, re, 1)
+        landings.append((x, re, land))
     curves = dict(d.curves)
     shifts = {}
     for v, ps in ends.items():

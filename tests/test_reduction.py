@@ -528,6 +528,33 @@ class TestCutFronts:
                     assert sum(end in cut.nodes for end in re.ends) == 1
 
 
+class TestLandings:
+    """fire_cut builds each landing inside its front segment, unchecked; it
+    must be the point the checking GraphModel.point_on gives at the same
+    offset, on burn cuts and debt cuts alike."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(small_complexes())
+    def test_landings_equal_point_on(self, case):
+        cx, d = case
+        moves = []
+        fire_cut_ = reduction.fire_cut
+
+        def recording_fire_cut(*args, **kwargs):
+            out = fire_cut_(*args, **kwargs)
+            moves.append(out[1])
+            return out
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(reduction, "fire_cut", recording_fire_cut)
+            for v0 in _base_points(cx):
+                reduce_divisor(cx, d, v0, want_witness=False)
+        for mv in moves:
+            for x, re, land in mv.landings:
+                offset = re.lo + mv.eps if re.ends[0] == x else re.hi - mv.eps
+                assert land == cx.model.point_on(re.base, offset)
+
+
 def reference_debt_cut(cx, d, v0, z):
     """The debt cut as a walk of the whole refinement finds it: the
     refinement by d's support, v0 and z, walked from v0 by _spread without
