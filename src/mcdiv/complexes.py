@@ -232,8 +232,9 @@ class ComplexDivisor:
 
 class ComplexRationalFunction:
     """A piecewise-linear graph part plus one witness per oracle vertex:
-    an explicit rational function for projective lines, or a declared
-    principal divisor otherwise."""
+    on any curve a declared divisor, refused unless its class is trivial;
+    on a projective line also an explicit rational function.  Reduction
+    witnesses declare the divisor on every curve."""
 
     def __init__(self, cx: MetrizedComplex, f_gamma: PLFunction, curve_witnesses=None):
         self.cx = cx

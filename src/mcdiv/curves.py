@@ -5,7 +5,8 @@ An oracle answers the handful of divisor-theoretic questions the
 combinatorial layer needs: rank of a divisor, equality of divisor classes,
 a deterministic effective representative, a canonical divisor, and samples
 of minimal non-special divisors.  Concrete curve geometry never leaks past
-this interface.
+this interface.  The class answers depend on (degree, class) alone: each
+oracle gives `class_of`, `_rank` and `_in_class`, `CurveOracle` the rest.
 """
 
 from __future__ import annotations
@@ -65,14 +66,43 @@ class CurveOracle:
     def point_key(self, p):  # pragma: no cover - interface
         raise NotImplementedError
 
-    def curve_rank(self, d: CurveDivisor) -> int:  # pragma: no cover
+    def class_of(self, pairs):  # pragma: no cover - interface
+        """(degree, class) of the divisor of the (point, c) pairs; a point
+        may repeat."""
         raise NotImplementedError
 
-    def classes_equal(self, d1, d2) -> bool:  # pragma: no cover
+    def _rank(self, deg, cls) -> int:  # pragma: no cover - interface
         raise NotImplementedError
 
-    def effective_representative(self, d) -> CurveDivisor:  # pragma: no cover
+    def _in_class(self, deg, cls) -> CurveDivisor:  # pragma: no cover - interface
+        """An effective divisor in a class of rank >= 0."""
         raise NotImplementedError
+
+    def curve_rank(self, d: CurveDivisor) -> int:
+        self._check(d)
+        return self._rank(*self.class_of(d.coeffs.items()))
+
+    def classes_equal(self, d1, d2) -> bool:
+        return self.class_of(d1.coeffs.items()) == self.class_of(d2.coeffs.items())
+
+    def effective_representative(self, d) -> CurveDivisor:
+        self._check(d)
+        deg, cls = self.class_of(d.coeffs.items())
+        if self._rank(deg, cls) < 0:
+            raise InputError("no effective representative")
+        return self._in_class(deg, cls)
+
+    def nonneg_rank(self, pairs) -> bool:
+        """Whether the divisor of the (point, c) pairs has rank >= 0,
+        building no divisor."""
+        return self._rank(*self.class_of(pairs)) >= 0
+
+    def __init_subclass__(cls, **kwargs):
+        # perfbench/spans.py wraps curve_rank and classes_equal from each
+        # oracle class's own __dict__, so every subclass holds them itself
+        super().__init_subclass__(**kwargs)
+        cls.curve_rank = CurveOracle.curve_rank
+        cls.classes_equal = CurveOracle.classes_equal
 
     def canonical_divisor(self) -> CurveDivisor:  # pragma: no cover
         raise NotImplementedError
@@ -121,20 +151,15 @@ class P1Oracle(CurveOracle):
             return (1, p.v, 0)
         return (1, p.numerator, p.denominator)
 
-    def curve_rank(self, d):
-        self._check(d)
-        deg = d.degree()
-        return deg if deg >= 0 else -1
+    def class_of(self, pairs):
+        """(degree, None): on the line the degree is the whole class."""
+        return sum(c for _, c in pairs), None
 
-    def classes_equal(self, d1, d2):
-        return d1.degree() == d2.degree()
+    def _rank(self, deg, cls):
+        return max(deg, -1)
 
-    def effective_representative(self, d):
-        self._check(d)
-        deg = d.degree()
-        if deg < 0:
-            raise InputError("no effective representative: negative degree")
-        return self.divisor((INF, deg)) if deg else self.zero_divisor()
+    def _in_class(self, deg, cls):
+        return self._like({INF: deg})
 
     def canonical_divisor(self):
         return self.divisor((INF, -2))
@@ -247,18 +272,20 @@ class EllipticOracle(CurveOracle):
         self.validate_point(pt)
         return pt
 
-    def all_points(self):
-        """O, then the affine points by x and then y ascending."""
+    def _points(self):
+        """O, then the affine points by x and then y ascending, each built
+        as it is reached."""
+        p, a, b = self.field.p, self.a.v, self.b.v
         roots = {}  # square -> its square roots, ascending
-        for y in range(self.field.p):
-            ye = self.field.elem(y)
-            roots.setdefault(ye * ye, []).append(ye)
-        pts = [O_POINT]
-        for x in range(self.field.p):
-            xe = self.field.elem(x)
-            rhs = xe * xe * xe + self.a * xe + self.b
-            pts.extend(EPoint(xe, ye) for ye in roots.get(rhs, ()))
-        return pts
+        for y in range(p):
+            roots.setdefault(y * y % p, []).append(y)
+        yield O_POINT
+        for x in range(p):
+            for y in roots.get((x * x * x + a * x + b) % p, ()):
+                yield EPoint(Fp(x, p), Fp(y, p))
+
+    def all_points(self):
+        return list(self._points())
 
     def _law(self, s, t):
         """The group law on affine integer pairs (x, y) mod p; O_POINT is O."""
@@ -281,13 +308,14 @@ class EllipticOracle(CurveOracle):
         return s if s is O_POINT else EPoint(Fp(s[0], self.field.p), Fp(s[1], self.field.p))
 
     def add_points(self, p, q):
-        return self._epoint(self.group_sum(self._like(ChipSum.tally([(p, 1), (q, 1)]))))
+        return self._epoint(self.class_of([(p, 1), (q, 1)])[1])
 
-    def group_sum(self, d: CurveDivisor):
-        """The sum of d's points as an integer pair (x, y) mod p or O_POINT:
-        double-and-add per point, of the negated point for c < 0."""
-        acc = O_POINT
-        for pt, c in d.coeffs.items():
+    def class_of(self, pairs):
+        """(degree, the sum of the points as an integer pair (x, y) mod p or
+        O_POINT): double-and-add per point, of the negated point for c < 0."""
+        deg, acc = 0, O_POINT
+        for pt, c in pairs:
+            deg += c
             if pt is O_POINT:
                 continue
             s = (pt.x.v, pt.y.v if c > 0 else -pt.y.v % self.field.p)
@@ -298,33 +326,23 @@ class EllipticOracle(CurveOracle):
                 n >>= 1
                 if n:
                     s = self._law(s, s)
-        return acc
+        return deg, acc
 
-    def curve_rank(self, d):
-        self._check(d)
-        deg = d.degree()
-        if deg < 0:
-            return -1
+    def _rank(self, deg, cls):
         if deg == 0:
-            return 0 if self.group_sum(d) is O_POINT else -1
-        return deg - 1
+            return 0 if cls is O_POINT else -1
+        return max(deg - 1, -1)
 
-    def classes_equal(self, d1, d2):
-        return d1.degree() == d2.degree() and self.group_sum(d1) == self.group_sum(d2)
-
-    def effective_representative(self, d):
-        self._check(d)
-        if self.curve_rank(d) < 0:
-            raise InputError("no effective representative")
+    def _in_class(self, deg, cls):
         # in degree 0 the sum is O and the two terms cancel
-        return self.divisor((self._epoint(self.group_sum(d)), 1), (O_POINT, d.degree() - 1))
+        return self.divisor((self._epoint(cls), 1), (O_POINT, deg - 1))
 
     def canonical_divisor(self):
         return self.zero_divisor()
 
     def sample_points(self, count, avoid=()):
         avoid = set(avoid)
-        out = [p for p in self.all_points() if p not in avoid][:count]
+        out = list(itertools.islice((p for p in self._points() if p not in avoid), count))
         if len(out) < count:
             raise FieldTooSmallError(count, len(out), f"elliptic over F{self.field.p}")
         return out
@@ -455,55 +473,31 @@ class TableOracle(CurveOracle):
     def point_key(self, p):
         return (0, p, 0)
 
-    def class_of(self, d: CurveDivisor):
-        """(degree, normalized class) of d: each component summed over d's
-        points in one pass, then reduced once mod its modulus."""
-        sums = [0] * len(self.moduli)
-        for p, c in d.coeffs.items():
+    def class_of(self, pairs):
+        """(degree, normalized class): each component summed over the points
+        in one pass, then reduced once mod its modulus."""
+        deg, sums = 0, [0] * len(self.moduli)
+        for p, c in pairs:
+            deg += c
             for i, x in enumerate(self.points[p]):
                 sums[i] += c * x
-        return d.degree(), tuple(s % m for s, m in zip(sums, self.moduli))
-
-    def curve_rank(self, d):
-        self._check(d)
-        return self._rank(*self.class_of(d))
-
-    def classes_equal(self, d1, d2):
-        return self.class_of(d1) == self.class_of(d2)
-
-    def effective_representative(self, d):
-        self._check(d)
-        deg, cls = self.class_of(d)
-        if self._rank(deg, cls) < 0:
-            raise InputError("no effective representative")
-        return self._divisor_in_class(deg, cls)
-
-    def _rep_combo(self, deg, cls):
-        if (deg, cls) in self._reps:
-            return self._reps[(deg, cls)]
-        # beyond the precomputed horizon: peel copies of the first label
-        lab0 = sorted(self.points)[0]
-        img0 = self.points[lab0]
-        k = 0
-        d, c = deg, cls
-        while (d, c) not in self._reps:
-            d -= 1
-            c = self._gadd(c, self._gneg(img0))
-            k += 1
-            if d < 0:
-                raise InputError("no representative found")
-        return self._reps[(d, c)] + (lab0,) * k
+        return deg, tuple(s % m for s, m in zip(sums, self.moduli))
 
     def canonical_divisor(self):
         deg = 2 * self.genus - 2
         if self.table_rank(deg, self.canonical_class) < 0:
             raise InputError("declared canonical class is not effective")
-        return self.effective_representative(
-            CurveDivisor(self, {})
-        ) if deg == 0 else self._divisor_in_class(deg, self.canonical_class)
+        return self._in_class(deg, self.canonical_class)
 
-    def _divisor_in_class(self, deg, cls):
-        return self.divisor(*((lab, 1) for lab in self._rep_combo(deg, cls)))
+    def _in_class(self, deg, cls):
+        # beyond the precomputed horizon: peel k copies of the first label
+        lab0, k = min(self.points), 0
+        while (deg - k, cls) not in self._reps:
+            cls = self._gadd(cls, self._gneg(self.points[lab0]))
+            k += 1
+            if k > deg:
+                raise InputError("no representative found")
+        return self.divisor(*((lab, 1) for lab in self._reps[(deg - k, cls)]), (lab0, k))
 
     def divisor_in_class(self, deg, cls):
         """Some divisor (not necessarily effective) in the given class."""
@@ -512,9 +506,9 @@ class TableOracle(CurveOracle):
         for radius in range(0, 3 * (self.genus + 2)):
             for combo in itertools.combinations_with_replacement(labels, radius):
                 for signs in itertools.product((1, -1), repeat=len(combo)):
-                    cd = self.divisor(*zip(combo, signs))
-                    if self.class_of(cd) == (deg, cls):
-                        return cd
+                    pairs = list(zip(combo, signs))
+                    if self.class_of(pairs) == (deg, cls):
+                        return self.divisor(*pairs)
         raise InputError("no divisor found in class")
 
     def sample_points(self, count, avoid=()):

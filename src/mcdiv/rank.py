@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from .complexes import ComplexDivisor, MetrizedComplex
 from .curves import AuditReport
 from .errors import FieldTooSmallError, InputError, McdivError
-from .metric import AcyclicOrientation, ChipSum, GraphDivisor, GraphPoint, enumerate_acyclic_orientations
+from .metric import AcyclicOrientation, GraphDivisor, GraphPoint, enumerate_acyclic_orientations
 from .reduction import reduce_divisor
 
 
@@ -102,7 +102,8 @@ def _passes(cx, split, d, at=()) -> bool:
         left = cx.nonneg_memo[key] = red.graph.get(v0) if o is None else red.curve_part(v0.where)
     if o is None:
         return left + d.graph.get(v0) - len(at) >= 0
-    return o.curve_rank(left + d.curve_part(v0.where) - o._like(ChipSum.tally((p, 1) for _, p in at))) >= 0
+    return o.nonneg_rank(itertools.chain(left.coeffs.items(), d.curve_part(v0.where).coeffs.items(),
+                                         ((p, -1) for _, p in at)))
 
 
 def _largest_k(tests, passes, top) -> int:

@@ -15,10 +15,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 
 from .complexes import ComplexDivisor, ComplexRationalFunction, MetrizedComplex
 from .complexes import _add_chips, _end_of_redge
-from .curves import P1Oracle
 from .errors import BudgetError, InputError, McdivError
 from .metric import GraphDivisor, GraphPoint, PLFunction, REdge
 
@@ -52,12 +52,12 @@ class Move:
 def _withstands(cx, d, x, segs) -> bool:
     """Whether the node x withstands fire reaching it along the refined
     segments segs.  At an oracle vertex: the curve part minus the marked
-    points the segments meet has non-negative rank.  Elsewhere: the
-    coefficient covers the number of segments."""
+    points the segments meet has non-negative rank, read from its class.
+    Elsewhere: the coefficient covers the number of segments."""
     if x.kind == "v" and cx.is_oracle_vertex(x.where):
         v = x.where
-        rem = d.curve_part(v) - cx._on_marks(v, ((_end_of_redge(cx, v, re), 1) for re in segs))
-        return cx.oracles[v].curve_rank(rem) >= 0
+        burnt = ((cx.marks[v][_end_of_redge(cx, v, re)], -1) for re in segs)
+        return cx.oracles[v].nonneg_rank(chain(d.curve_part(v).coeffs.items(), burnt))
     return len(segs) <= d.graph.get(x)
 
 
@@ -183,7 +183,8 @@ def _witness(cx, moves) -> ComplexRationalFunction:
     and landings.  A move adds -eps at the vertices outside its region, and
     a first slope or bend where each stretch from a boundary node to its
     landing starts, the opposite bend where it ends.  Per oracle vertex the
-    shifts add up to one function (explicit on a projective line)."""
+    shifts add up to one principal divisor, passed on as it is on every
+    curve."""
     vals = dict.fromkeys(map(cx.model.vertex_point, cx.model.vertices), Fraction(0))
     points, first, bend, shifts = [], {}, {}, {}
     for mv in moves:
@@ -204,12 +205,7 @@ def _witness(cx, moves) -> ComplexRationalFunction:
         for v, sh in mv.shifts.items():
             shifts[v] = shifts[v] + sh if v in shifts else sh
     f = PLFunction.from_slopes(cx.model, points, vals, first, bend)
-    wits = {}
-    for v, sh in shifts.items():
-        if sh.coeffs:
-            o = cx.oracles[v]
-            wits[v] = o.principal_witness(sh) if isinstance(o, P1Oracle) else sh
-    return ComplexRationalFunction(cx, f, wits)
+    return ComplexRationalFunction(cx, f, {v: sh for v, sh in shifts.items() if sh.coeffs})
 
 
 def _fire(cx, d, cut, moves, debt_mode, check):

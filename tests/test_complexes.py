@@ -195,9 +195,20 @@ class TestDivOf:
         cx = star_elliptic_complex()
         o = cx.oracles["l1"]
         pts = o.sample_points(2)
-        bad = o.divisor((pts[1], 1), (O_POINT, -1))
-        with pytest.raises(InputError):
+        bad = o.divisor((pts[1], 1), (O_POINT, -1))  # degree 0, off O
+        with pytest.raises(InputError, match="^declared witness at l1 is not principal$"):
             ComplexRationalFunction(cx, PLFunction.constant(cx.model), {"l1": bad})
+
+    def test_p1_shift_of_nonzero_degree_rejected(self):
+        """A projective-line shift declared as a divisor must have degree 0,
+        the whole of its class there."""
+        cx = star_elliptic_complex()
+        o = cx.oracles["c"]
+        pts = o.sample_points(3)
+        assert ComplexRationalFunction(cx, PLFunction.constant(cx.model), {
+            "c": o.divisor((pts[1], 1), (pts[2], -1))}).divisor().degree() == 0
+        with pytest.raises(InputError, match="^declared witness at c is not principal$"):
+            ComplexRationalFunction(cx, PLFunction.constant(cx.model), {"c": o.divisor((pts[1], 1))})
 
     @pytest.mark.parametrize("v", ["b", "nowhere"])
     def test_witness_off_the_curves_refused(self, v):

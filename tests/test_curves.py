@@ -294,11 +294,12 @@ class TestIntegerGroupLaw:
         for p, q in itertools.product(pts, repeat=2):
             assert o.add_points(p, q) == reference_add(o, p, q)
             d = o.divisor((p, 1), (q, -1))
-            assert o.group_sum(d) == as_pair(reference_add(o, p, reference_neg(q)))
+            assert o.class_of(d.coeffs.items()) == (0, as_pair(reference_add(o, p, reference_neg(q))))
             assert o.curve_rank(d) == reference_elliptic_rank(o, d)
             assert o.classes_equal(o.divisor((p, 1)), o.divisor((q, 1))) == (p == q)
             principal = o.divisor((p, 1), (q, 1), (reference_add(o, p, q), -1), (O_POINT, -1))
-            assert o.group_sum(principal) is O_POINT and o.curve_rank(principal) == 0
+            assert o.class_of(principal.coeffs.items()) == (0, O_POINT)
+            assert o.curve_rank(principal) == 0
 
     @settings(max_examples=150, deadline=None)
     @given(st.sampled_from([(13, 1, 1), (101, 1, 1)]), _TERMS, _TERMS)
@@ -306,7 +307,7 @@ class TestIntegerGroupLaw:
         o = _CURVES[key]
         pts = o.all_points()
         d, e = _on(o, terms, pts), _on(o, other, pts)
-        assert o.group_sum(d) == as_pair(reference_group_sum(o, d))
+        assert o.class_of(d.coeffs.items()) == (d.degree(), as_pair(reference_group_sum(o, d)))
         assert o.curve_rank(d) == reference_elliptic_rank(o, d)
         same = d.degree() == e.degree() and reference_group_sum(o, d) == reference_group_sum(o, e)
         assert o.classes_equal(d, e) == same
@@ -329,14 +330,60 @@ class TestOnePassTableClass:
         labels = sorted(table2.points)
         d, e = _on(table2, terms, labels), _on(table2, other, labels)
         ref = reference_class_of(table2, d)
-        assert table2.class_of(d) == ref
+        assert table2.class_of(d.coeffs.items()) == ref
         assert table2.curve_rank(d) == table2.table_rank(*ref)
         assert table2.classes_equal(d, e) == (ref == reference_class_of(table2, e))
         if table2.table_rank(*ref) < 0:
             assert representative_or_error(table2, d) == "no effective representative"
         else:
             rep = table2.effective_representative(d)
-            assert rep == table2._divisor_in_class(*ref) and table2.classes_equal(rep, d)
+            assert rep == table2._in_class(*ref) and table2.classes_equal(rep, d)
+
+
+_KINDS = {"P1/Q": P1Oracle(QQ), "P1/F5": P1Oracle(PrimeField(5)), "E/F5": _CURVES[(5, 1, 1)],
+          "E/F13": _CURVES[(13, 1, 1)], "table": genus2_table_oracle()}
+
+
+class TestClassPath:
+    """The rank >= 0 test reads the class of (point, c) pairs, building no
+    divisor; it must answer as curve_rank does on the divisor of the pairs,
+    with points repeated, with negative coefficients, and with marked points
+    removed as the burn test removes them."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from(sorted(_KINDS)), _TERMS, st.lists(st.integers(0, 2), max_size=4))
+    def test_nonneg_rank_is_curve_rank_of_the_divisor(self, kind, terms, burnt):
+        o = _KINDS[kind]
+        pts = o.sample_points(5)
+        marks = pts[:3]  # as a complex would mark them
+        pairs = [(pts[i % len(pts)], c) for i, c in terms] + [(marks[j], -1) for j in burnt]
+        d = o.divisor(*pairs)
+        assert o.class_of(pairs) == o.class_of(d.coeffs.items())
+        assert o.nonneg_rank(pairs) == (o.curve_rank(d) >= 0)
+
+
+@pytest.mark.parametrize("key", sorted(_CURVES), ids=str)
+def test_elliptic_samples_stop_at_count(key, monkeypatch):
+    """sample_points gives the first points of all_points off avoid, builds
+    only the points it reaches, and leaves the oracle as it was."""
+    o = _CURVES[key]
+    pts = o.all_points()
+    state = dict(vars(o))
+    built = []
+
+    def counting(x, y):
+        built.append((x, y))
+        return EPoint(x, y)
+
+    monkeypatch.setattr("mcdiv.curves.EPoint", counting)
+    for count, avoid in ((1, ()), (min(2, len(pts) - 1), pts[1:2]), (len(pts) - 1, pts[:1])):
+        built.clear()
+        assert o.sample_points(count, avoid) == [p for p in pts if p not in avoid][:count]
+        # only the points reached are built: those kept and those avoided
+        assert len(built) <= count + len(avoid)
+    with pytest.raises(FieldTooSmallError):
+        o.sample_points(len(pts) - 1, pts[:2])
+    assert vars(o) == state
 
 
 @pytest.mark.parametrize("point", [

@@ -286,6 +286,30 @@ class TestSiteTable:
         assert list(good.sites_memo) == [(0, 0)]
 
 
+_SITE_COMPLEXES = {
+    "E/F5": lambda: single_vertex_complex(EllipticOracle(5, 1, 1)),
+    "E/F13": lambda: single_vertex_complex(EllipticOracle(13, 1, 1)),
+    "elliptic star": star_elliptic_complex,
+    "genus-2 table": lambda: single_vertex_complex(genus2_table_oracle()),
+}
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("name", sorted(_SITE_COMPLEXES))
+def test_sites_of_every_seed_detect_rank(name, seed):
+    """One chip at a site on a curve of positive genus has rank 0, so the
+    sites of every seed must hold a test chip that drops it.  Too few curve
+    points per vertex (one instead of genus + 1) let the site take its own
+    chip away and read rank 1.  audit=True searches the sites also where
+    the degree exceeds 2g - 2 (on genus 1), which the shortcut answers alone."""
+    cx = _SITE_COMPLEXES[name]()
+    sites = [s for s in rank_determining_sites(cx, seed)
+             if not isinstance(s, GraphPoint) and cx.oracles[s[0]].genus > 0]
+    assert sites
+    for s in sites:
+        assert rank(cx, site_divisor(cx, [s]), seed=seed, audit=True) == 0, s
+
+
 class TestLinearEquiv:
     def test_witness_shift(self, rng, theta_cx):
         d = random_divisor(rng, theta_cx)

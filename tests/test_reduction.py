@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from mcdiv import metric, reduction
 from mcdiv.complexes import MetrizedComplex, as_trivial_complex, graphical_complex
-from mcdiv.curves import EllipticOracle, O_POINT, P1Oracle
+from mcdiv.curves import CurveDivisor, EllipticOracle, O_POINT, P1Oracle
 from mcdiv.errors import BudgetError, InputError, McdivError
 from mcdiv.exact import PrimeField
 from mcdiv.io import parse_document
@@ -184,6 +184,19 @@ class TestReduce:
         red, wit = reduce_divisor(cx, d, v0)
         assert ell.curve_rank(red.curve_part("b")) >= 0
         assert red.degree() == d.degree()
+
+    def test_p1_shifts_stay_divisors(self):
+        """The witness carries each projective-line shift as the divisor it
+        is, as on every other curve, and the identity still holds."""
+        field = PrimeField(5)
+        lines = {v: P1Oracle(field) for v in ("a", "b")}
+        cx = MetrizedComplex(GraphModel(["a", "b"], [("e", "a", "b", 1)]), lines,
+                             {"a": {("e", 0): field.elem(0)}, "b": {("e", 1): field.elem(0)}})
+        d = cx.divisor(curve_parts={"b": lines["b"].divisor((field.elem(1), 1), (field.elem(2), 1))})
+        red, wit = reduce_divisor(cx, d, cx.model.vertex_point("a"))
+        assert wit.witnesses and all(isinstance(w, CurveDivisor) for w in wit.witnesses.values())
+        assert all(w.degree() == 0 for w in wit.witnesses.values())
+        assert d + wit.divisor() == red
 
     def test_theta_canonical_properties(self):
         cx = as_trivial_complex(theta_model())

@@ -88,3 +88,37 @@ def test_benchmark_span_table_matches_the_package(monkeypatch):
     finally:
         tracer.uninstall()
     assert metrics["complexes.divisor.built"] == 0
+
+
+CURVE_CLASSES = {"P1Oracle", "EllipticOracle", "TableOracle"}
+
+
+def _curve_class_uses(tree):
+    """(line, what) for every import of a concrete oracle class and every
+    isinstance test against one."""
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                if alias.name.rsplit(".", 1)[-1] in CURVE_CLASSES:
+                    yield node.lineno, f"import {alias.name}"
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+              and node.func.id == "isinstance" and len(node.args) == 2):
+            for sub in ast.walk(node.args[1]):
+                name = sub.id if isinstance(sub, ast.Name) else getattr(sub, "attr", None)
+                if name in CURVE_CLASSES:
+                    yield node.lineno, f"isinstance(..., {name})"
+
+
+@pytest.mark.parametrize("name", ["reduction.py", "rank.py"])
+def test_engine_asks_curves_through_the_oracle_contract(name):
+    """Reduction and the rank search put every curve question to the oracle
+    it holds; they never branch on which kind of curve it is."""
+    path = ROOT / "src" / "mcdiv" / name
+    found = list(_curve_class_uses(ast.parse(path.read_text(), str(path))))
+    assert not found, f"{name}: {found}"
+
+
+def test_curve_class_uses_are_seen():
+    src = ("from .curves import P1Oracle, CurveDivisor\nimport mcdiv.curves.TableOracle\n"
+           "ok = isinstance(o, CurveDivisor)\nbad = isinstance(o, (int, curves.EllipticOracle))\n")
+    assert [line for line, _ in _curve_class_uses(ast.parse(src))] == [1, 2, 4]
