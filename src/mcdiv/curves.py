@@ -83,6 +83,8 @@ class CurveOracle:
         return self._rank(*self.class_of(d.coeffs.items()))
 
     def classes_equal(self, d1, d2) -> bool:
+        self._check(d1)
+        self._check(d2)
         return self.class_of(d1.coeffs.items()) == self.class_of(d2.coeffs.items())
 
     def effective_representative(self, d) -> CurveDivisor:

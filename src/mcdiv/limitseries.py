@@ -106,17 +106,22 @@ class FunctionSpace:
         key = bound.key()
         if key in cache:
             return cache[key]
-        constraints = []
-        pts = set(bound.coeffs)
-        pts.update(self.poles)
-        pts.add(INF)
-        for p in sorted(pts, key=self.oracle.point_key):
-            m = -bound.get(p)
-            if m > self.min_ord(p):
-                constraints.append((p, m))
-        dim = self.constrained_dim(constraints)
-        cache[key] = dim > 0
-        return dim > 0
+        pts = sorted({*bound.coeffs, *self.poles, INF}, key=self.oracle.point_key)
+        constraints = [(p, -bound.get(p)) for p in pts if -bound.get(p) > self.min_ord(p)]
+        cache[key] = self.constrained_dim(constraints) > 0
+        return cache[key]
+
+    def least_twist(self, bound: CurveDivisor, q):
+        """The least integer t with subspace_meets(bound + t*(q)), or None.
+        Meeting only grows with t; q constrains nothing from t = -bound(q) -
+        min_ord(q) on, and no bound of negative degree meets."""
+        unit = bound.oracle.divisor((q, 1))
+        t = -bound.get(q) - self.min_ord(q)
+        if not self.subspace_meets(bound + unit.scale(t)):
+            return None
+        while t > -bound.degree() and self.subspace_meets(bound + unit.scale(t - 1)):
+            t -= 1
+        return t
 
 
 def _wronskian(polys):
@@ -326,24 +331,29 @@ def _restricted_sites(cx, pools, fresh):
 
 def _restricted_feasible(cx, d, e_div, spaces, bound, verdicts):
     """Whether some integer vertex potential and per-vertex elements of
-    the given spaces make d - e_div + div(f) effective.
-
-    The test at an oracle vertex v reads only its rest d_v - e_v and the
-    differences f(w) - f(v) along the edges at v, so `verdicts` keeps its
-    answer under (v, rest key, differences) for the caller to share."""
+    the given spaces make d - e_div + div(f) effective.  `verdicts` keeps,
+    under (v, key of the rest d_v - e_v) and then the differences f(w) - f(v)
+    at every edge of v but the last, the least last difference that meets,
+    or None (0 or None at a vertex with no edges)."""
     graph = {p.where: c for p, c in (d.graph - e_div.graph).coeffs.items()}
     rest = {v: d.curve_part(v) - e_div.curve_part(v) for v in cx.oracle_vertices()}
-    keys = {v: r.key() for v, r in rest.items()}
+    tables = {v: verdicts.setdefault((v, r.key()), {}) for v, r in rest.items()}
     ends = {
         w: [e.v if end == 0 else e.u for e, end in cx.model.incident_edges(w)]
         for w in cx.model.vertices
     }
 
     def meets(v, f):
-        key = (v, keys[v], tuple(f[w] - f[v] for w in ends[v]))
-        if key not in verdicts:
-            verdicts[key] = spaces[v].subspace_meets(rest[v] + cx.vertex_twist(v, f))
-        return verdicts[key]
+        diffs = [f[w] - f[v] for w in ends[v]] or [0]
+        key, table = tuple(diffs[:-1]), tables[v]
+        if key not in table:
+            marks = [(e.name, end) for e, end in cx.model.incident_edges(v)]
+            if marks:
+                twist = cx._on_marks(v, zip(marks, key))
+                table[key] = spaces[v].least_twist(rest[v] + twist, cx.marks[v][marks[-1]])
+            else:
+                table[key] = 0 if spaces[v].subspace_meets(rest[v]) else None
+        return table[key] is not None and diffs[-1] >= table[key]
 
     # graphical degrees first, then the spaces
     return any(
@@ -366,7 +376,10 @@ def restricted_rank(cx, d: ComplexDivisor, spaces, validate=False) -> int:
     projective line (and its function space) at every oracle vertex.
     With validate, the search is rerun with the potential bound widened by
     2 and one more fresh chip site per component, and must give the same
-    rank.
+    rank.  A vertex test is monotone in each difference of the potential
+    along its edges, as a larger one only enlarges the bound that a space
+    element must meet; so along the last edge it is one threshold, the
+    least twist (FunctionSpace.least_twist), kept per rest and the others.
     """
     if any(e.length != 1 for e in cx.model.edges.values()):
         raise InputError("restricted rank needs unit edge lengths")

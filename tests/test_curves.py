@@ -404,6 +404,23 @@ def test_elliptic_points_need_coordinates_over_its_field(e5, point):
         e5.divisor((point, 1))
 
 
+@pytest.mark.parametrize("kind", ["E/F7 against E/F5", "P1/Q against P1/F5"])
+def test_classes_equal_refuses_a_foreign_divisor(kind):
+    """classes_equal checks that both divisors belong to the oracle, as
+    curve_rank and effective_representative do: read by the wrong oracle,
+    a point over F7 is taken mod 5 and a P1/Q divisor counts by its degree."""
+    if kind.startswith("E"):
+        o, other = EllipticOracle(5, 1, 1), EllipticOracle(7, 1, 1)
+        own, foreign = o.divisor((o.point(0, 1), 1)), other.divisor((other.point(0, 1), 1))
+    else:
+        o, other = P1Oracle(PrimeField(5)), P1Oracle(QQ)
+        own, foreign = o.divisor((INF, 1)), other.divisor((QQ.elem(0), 1))
+    assert o.classes_equal(own, own)
+    for pair in ((foreign, own), (own, foreign)):
+        with pytest.raises(InputError, match="different oracle"):
+            o.classes_equal(*pair)
+
+
 class TestTable:
     def test_genus2_instance_consistent(self, table2):
         assert table2.genus == 2

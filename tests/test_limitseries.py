@@ -6,6 +6,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mcdiv.complexes import NodalCurveDescription, as_trivial_complex, regularize
 from mcdiv.curves import P1Oracle
@@ -220,6 +222,83 @@ class TestLocalModel:
             assert len(shifted) == (space.dim + 1) * finite
 
 
+# (field, (numerator coefficients, denominator coefficients) per element)
+_TWIST_SPACES = {
+    "Q: 1, t, t^2": (QQ, ([1], [1]), ([0, 1], [1]), ([0, 0, 1], [1])),
+    "Q: 1/(t-1), t^2+t^3": (QQ, ([1], [-1, 1]), ([0, 0, 1, 1], [1])),
+    "F5: 1, t^3+t": (PrimeField(5), ([1], [1]), ([0, 1, 0, 1], [1])),
+    "F7: 1/t^2, 1/(t-2), t": (PrimeField(7), ([1], [0, 0, 1]), ([1], [-2, 1]), ([0, 1], [1])),
+}
+
+
+def twist_space(name):
+    field, *elements = _TWIST_SPACES[name]
+    return FunctionSpace(P1Oracle(field), [
+        RationalFunc.make(Poly.make(field, n), Poly.make(field, d)) for n, d in elements
+    ])
+
+
+def twist_pool(space):
+    """Finite points 0..3 (the poles of the spaces above among them), then INF."""
+    return [space.oracle.field.elem(a) for a in range(4)] + [INF]
+
+
+def direct_least_twist(space, bound, q, window=20):
+    """The least t in [-window, window] with subspace_meets(bound + t*(q)),
+    asked of a fresh twin of the space at every t; None when none meets.
+    Checks on the way that meeting never stops as t grows.  The window is
+    wider than both ends of the threshold for bounds with |coefficients|
+    summing to at most 12 on these spaces, whose orders reach at most 3."""
+    twin = FunctionSpace(space.oracle, space.basis)
+    ts = range(-window, window + 1)
+    answers = [twin.subspace_meets(bound + bound.oracle.divisor((q, t))) for t in ts]
+    assert answers == sorted(answers)
+    return next((t for t, ok in zip(ts, answers) if ok), None)
+
+
+class TestLeastTwist:
+    """FunctionSpace.least_twist against a direct scan of subspace_meets
+    over a window wider than the degree bound."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.sampled_from(sorted(_TWIST_SPACES)),
+        st.lists(st.tuples(st.integers(0, 4), st.integers(-3, 3)), max_size=4),
+        st.integers(0, 4),
+    )
+    def test_least_twist_is_the_direct_threshold(self, name, terms, qi):
+        space = twist_space(name)
+        pool = twist_pool(space)
+        bound = space.oracle.divisor(*[(pool[i], c) for i, c in terms])
+        q = pool[qi]
+        assert space.least_twist(bound, q) == direct_least_twist(space, bound, q)
+
+    # (space, bound terms over the pool, index of q in the pool, case, least twist)
+    @pytest.mark.parametrize("name, terms, qi, case, expected", [
+        ("Q: 1, t, t^2", [(4, 2)], 0, "finite", -2),
+        ("F5: 1, t^3+t", [(0, 1), (2, -1)], 4, "INF", 3),
+        ("Q: 1/(t-1), t^2+t^3", [(4, 3)], 1, "pole", 0),
+        ("F7: 1/t^2, 1/(t-2), t", [(2, 2), (3, -1), (4, 1)], 2, "support", -1),
+        ("Q: 1, t, t^2", [(4, -3)], 0, "none", None),
+    ])
+    def test_cases(self, name, terms, qi, case, expected):
+        space = twist_space(name)
+        pool = twist_pool(space)
+        bound = space.oracle.divisor(*[(pool[i], c) for i, c in terms])
+        q = pool[qi]
+        if case == "finite":
+            assert q is not INF and q not in space.poles and not bound.get(q)
+        elif case == "INF":
+            assert q is INF
+        elif case == "pole":
+            assert q in space.poles
+        elif case == "support":
+            assert bound.get(q)
+        got = space.least_twist(bound, q)
+        assert got == direct_least_twist(space, bound, q) == expected
+        assert (got is None) == (case == "none")
+
+
 class TestVanishingSequence:
     def test_full_monomials(self):
         o = P1Oracle(QQ)
@@ -425,11 +504,12 @@ class TestRestrictedRankGuards:
 
 class TestRestrictedSearchCount:
     """subspace_meets calls on the inputs of test_two_lines_limit_value.
-    Each feasibility test keeps one verdict per (vertex, rest, potential
-    differences at the vertex), shared by both passes of a restricted_rank
-    call, so a repeated vertex test asks no space; a change to the order of
-    test chips or potentials, to the short-circuits or to that key moves
-    these counts."""
+    Each vertex test is read from a threshold table: one least twist per
+    (vertex, rest, differences at every edge of the vertex but the last),
+    shared by both passes of a restricted_rank call, and each least twist
+    scans down from the twist where the last edge's point constrains
+    nothing; a change to the order of test chips or potentials, to the
+    short-circuits, to that key or to the scan moves these counts."""
 
     @staticmethod
     def inputs():
@@ -438,7 +518,7 @@ class TestRestrictedSearchCount:
         d = eqD_divisor(cx, "Y", {"Y": oy.divisor((INF, 2)), "Z": oz.divisor((INF, 2))})
         return cx, d, {"Y": mono(0, 1), "Z": mono(1, 2)}
 
-    @pytest.mark.parametrize("validate, expected", [(False, 53), (True, 78)])
+    @pytest.mark.parametrize("validate, expected", [(False, 22), (True, 25)])
     def test_subspace_meets_calls(self, monkeypatch, validate, expected):
         calls = []
         original = FunctionSpace.subspace_meets
@@ -525,6 +605,45 @@ class TestVerdictTable:
             monkeypatch, cx, d, lambda: {"Y": mono(0, 1), "Z": mono(1, 2)}, validate=True
         )
         assert fast == slow == 1
+
+    def assert_agree(self, monkeypatch, cx, d, combos, validate=False):
+        vs = list(cx.model.vertices)
+        div = eqD_divisor(cx, vs[0], {v: cx.oracles[v].divisor((INF, d)) for v in vs})
+        ranks = []
+        for combo in combos:
+            fast, slow = self.both_ranks(
+                monkeypatch, cx, div,
+                lambda: {v: qq_space(cx.oracles[v], exps) for v, exps in zip(vs, combo)},
+                validate=validate,
+            )
+            assert fast == slow, combo
+            ranks.append(fast)
+        return ranks
+
+    def test_four_chain_sample(self, monkeypatch):
+        # the middle lines carry two node differences each, so their
+        # thresholds are keyed by the first; the catalogue's limit series
+        # (rank 1) and three seeded combinations
+        catalogue = list(itertools.product(space_catalog(2, 1), repeat=4))
+        series = ((0, 1), (1, 2), (1, 2), (1, 2))
+        combos = [series] + random.Random(27).sample(catalogue, 3)
+        assert self.assert_agree(monkeypatch, line_chain(4), 2, combos)[0] == 1
+
+    def test_chain_with_nodes_at_infinity(self, monkeypatch):
+        # C0 meets C1 at INF on C0, and C1 meets C2 at INF on C1, so the
+        # middle line's last difference is read at INF
+        cx = regularize(NodalCurveDescription(
+            {f"C{i}": P1Oracle(QQ) for i in range(3)},
+            [("C0", INF, "C1", QQ.elem(0)), ("C1", INF, "C2", QQ.elem(0))],
+        ))
+        combos = [((0, 1), (0, 1), (0, 1)), ((0, 1), (1, 2), (0, 2)), ((1, 2), (0, 1), (0, 1))]
+        assert self.assert_agree(monkeypatch, cx, 2, combos, validate=True)[0] == 1
+
+    def test_single_component(self, monkeypatch):
+        # a vertex with no edges keeps its plain verdict on the rest
+        cx = regularize(NodalCurveDescription({"Y": P1Oracle(QQ)}, []))
+        combos = [((0, 1, 2),), ((0, 2),), ((1,),)]
+        assert self.assert_agree(monkeypatch, cx, 2, combos, validate=True) == [2, 1, 0]
 
 
 class TestRestrictedEta:
