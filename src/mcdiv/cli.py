@@ -10,6 +10,7 @@ JSON object instead.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from . import decomposition, limitseries, reduction
@@ -260,6 +261,7 @@ COMMANDS = {
 }
 
 
+@functools.cache  # built on the first call, then shared by every main call
 def build_parser():
     p = argparse.ArgumentParser(
         prog="mcdiv",

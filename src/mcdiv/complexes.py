@@ -45,6 +45,7 @@ class MetrizedComplex:
         # memo tables of the rank engine; they only ever gain entries
         self.nonneg_memo = {}  # (rest key, base point) -> what reduction leaves there
         self.sites_memo = {}  # (seed, oversize) -> rank-determining sites
+        self.refinement_memo = {}  # interior points of a burn -> their read-only Refinement
         self.shortcut_validated = False
 
     # -- structure queries ------------------------------------------------

@@ -386,6 +386,8 @@ def restricted_rank(cx, d: ComplexDivisor, spaces, validate=False) -> int:
     for v in cx.oracle_vertices():
         if v not in spaces:
             raise InputError(f"no function space at {v}")
+        if spaces[v].oracle.field != cx.oracles[v].field:
+            raise InputError(f"function space at {v} is not over the field of its curve")
     if any(p.kind != "v" for p in d.graph.support()):
         raise InputError("restricted rank needs vertex-supported divisors")
     dims = [spaces[v].dim for v in cx.oracle_vertices()]

@@ -106,12 +106,16 @@ def burn(cx: MetrizedComplex, d: ComplexDivisor, v0: GraphPoint) -> Cut | None:
     the surviving region as a Cut: the maximal saturated cut avoiding v0.
     The fire spreads by _spread to every node that does not withstand it.
     The segments along which the fire reached a surviving node are the
-    fronts of the cut at that node.
+    fronts of the cut at that node.  Burns share one read-only refinement
+    per interior support (the chips and v0 inside edges), cx.refinement_memo.
     """
     debts = _debts(cx, d, v0, {})
     if debts:
         raise InputError(f"unnormalized input: debt at {max(debts)[2]}")
-    ref = cx.model.refinement([*d.graph.coeffs, v0])
+    inner = frozenset(p for p in chain(d.graph.coeffs, (v0,)) if p.kind == "e")
+    ref = cx.refinement_memo.get(inner)
+    if ref is None:
+        ref = cx.refinement_memo[inner] = cx.model.refinement(inner)
     if v0 not in ref.adj:
         raise InputError(f"{v0} is not a point of the graph")
     burnt, reached = _spread(ref, v0, lambda y, segs: not _withstands(cx, d, y, segs))

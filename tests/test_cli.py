@@ -331,6 +331,13 @@ class TestCommands:
         second = capsys.readouterr().out
         assert first == second
 
+    def test_calls_in_a_row_keep_their_own_flags(self, theta_file, capsys):
+        # one parser serves every call; no flag of a call outlives it
+        assert main(["rank", theta_file, "--divisor", "K", "--format", "json", "--audit"]) == 0
+        assert json.loads(capsys.readouterr().out) == {"degree": 2, "genus": 2, "rank": 1}
+        assert main(["rank", theta_file, "--divisor", "D1"]) == 0
+        assert capsys.readouterr().out == "rank: 0\ndegree: 1\ngenus: 2\n"
+
     def test_glue_rank(self, tmp_path, capsys):
         f = tmp_path / "glue.json"
         f.write_text(json.dumps(GLUE_DOC))

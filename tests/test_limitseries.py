@@ -41,12 +41,12 @@ def rf(num, den=None):
     return RationalFunc.make(num, den or ONE)
 
 
-def mono(*exps):
+def mono(*exps, field=QQ):
     """Span of the given monomials t^e."""
-    o = P1Oracle(QQ)
+    o = P1Oracle(field)
     basis = []
     for e in exps:
-        basis.append(rf(Poly.make(QQ, [0] * e + [1])))
+        basis.append(RationalFunc.make(Poly.make(field, [0] * e + [1]), Poly.const(field, 1)))
     return FunctionSpace(o, basis)
 
 
@@ -499,6 +499,23 @@ class TestRestrictedRankGuards:
     def test_rejected(self, case, message):
         cx, d, spaces = self.inputs(case)
         with pytest.raises(InputError, match=message):
+            restricted_rank(cx, d, spaces)
+
+    @pytest.mark.parametrize("y, z", [((0,), (0,)), ((0,), (1,)), ((1,), (0,))],
+                             ids=["one-one", "one-t", "t-one"])
+    def test_space_over_another_field_rejected(self, y, z):
+        # 1*(inf) on each line over Q with F5 spaces: {1}/{1} and {1}/{t}
+        # once got ranks, and {t}, whose zero 0 of F5 is no point of a line
+        # over Q, failed only when a test chip was built there
+        cx = two_lines()
+        oy, oz = cx.oracles["Y"], cx.oracles["Z"]
+        d = cx.divisor(curve_parts={"Y": oy.divisor((INF, 1)), "Z": oz.divisor((INF, 1))})
+        f5 = PrimeField(5)
+        spaces = {"Y": mono(*y, field=f5), "Z": mono(*z, field=f5)}
+        with pytest.raises(InputError, match="function space at Y is not over the field of its curve"):
+            restricted_rank(cx, d, spaces)
+        spaces["Y"] = mono(*y)
+        with pytest.raises(InputError, match="function space at Z is not over the field of its curve"):
             restricted_rank(cx, d, spaces)
 
 

@@ -40,6 +40,7 @@ from mcdiv.rank import (
     rr_audit,
     site_divisor,
 )
+from mcdiv.reduction import reduce_divisor
 
 from conftest import (
     random_complex,
@@ -584,20 +585,24 @@ class TestNoHiddenState:
         assert rank(cx, k) == 1
         assert rank(cx, k + k) == 2  # above 2g - 2: the validated shortcut
         assert nonneg_rank(cx, k - chip)
+        reduce_divisor(cx, chip + chip, cx.model.point_on("e2", Fraction(1, 3)))
         assert cx.nonneg_memo and cx.sites_memo and cx.shortcut_validated
+        assert frozenset({cx.model.point_on("e1", Fraction(1, 2)),
+                          cx.model.point_on("e2", Fraction(1, 3))}) in cx.refinement_memo
         assert set(vars(cx)) == before
 
     def test_rank_memo_keeps_no_reference_cycle(self):
-        # the memos hold keys, leftovers and sites, never a ComplexDivisor,
-        # which points back to its complex: with the cycle collector off, the
-        # complex must die with its last outside reference
+        # the memos hold keys, leftovers, sites and refinements (which point
+        # at the model), never a ComplexDivisor, which points back to its
+        # complex: with the cycle collector off, the complex must die with
+        # its last outside reference
         doc = parse_document(THETA_JSON.read_text())
         cx, k = doc.complex, doc.divisors["K"]
         gc.disable()
         try:
             assert rank(cx, k) == 1 and rank(cx, k + k) == 2
             assert nonneg_rank(cx, k - doc.divisors["D2"], cx.model.vertex_point("v"))
-            assert cx.nonneg_memo and cx.sites_memo
+            assert cx.nonneg_memo and cx.sites_memo and cx.refinement_memo
             ref = weakref.ref(cx)
             del doc, cx, k
             assert ref() is None

@@ -1,6 +1,7 @@
 """Burning, saturated cuts, cut firing, and base-point reduction."""
 
 import itertools
+import re
 import weakref
 from fractions import Fraction
 from pathlib import Path
@@ -881,3 +882,66 @@ class TestEachStepCheck:
         assert len(events) == 4
         assert sum(summed) == 2 * len(events)
         assert summed == [1] * len(events) + [len(events)]
+
+
+def _refinement_log(monkeypatch):
+    """Record every Refinement built from now on, each with a copy of its
+    nodes, segments and adjacency as they were when it was built."""
+    built = []
+    init = metric.Refinement.__init__
+
+    def logging_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        built.append((self, list(self.nodes), list(self.redges),
+                      {n: list(a) for n, a in self.adj.items()}))
+
+    monkeypatch.setattr(metric.Refinement, "__init__", logging_init)
+    return built
+
+
+class TestRefinementMemo:
+    """Burns share one refinement per set of interior points among the
+    chips and the base point; nothing changes a shared one."""
+
+    def test_same_interior_support_builds_no_refinement(self, monkeypatch):
+        model = theta_model()
+        cx = graphical_complex(model)
+        m = model.point_on("e1", Fraction(1, 2))
+        v0 = model.vertex_point("u")
+        built = _refinement_log(monkeypatch)
+        first = burn(cx, cx.divisor(graph_pairs=[(m, 2)]), v0)
+        assert len(built) == 1
+        # other coefficients and vertex chips, the same interior points
+        second = burn(cx, cx.divisor(graph_pairs=[(m, 3), (model.vertex_point("v"), 1)]), v0)
+        assert len(built) == 1
+        assert list(cx.refinement_memo) == [frozenset({m})]
+        assert first.points == second.points == [m] and first.points is not second.points
+
+    @settings(max_examples=25, deadline=None)
+    @given(small_complexes())
+    def test_shared_refinements_stay_as_built(self, case):
+        cx, d = case
+        with pytest.MonkeyPatch.context() as mp:
+            built = _refinement_log(mp)
+            for v0 in _all_base_points(cx.model):
+                reduce_divisor(cx, d, v0)
+        snapshots = {id(ref): rest for ref, *rest in built}
+        assert cx.refinement_memo
+        for ref in cx.refinement_memo.values():
+            assert [ref.nodes, ref.redges, ref.adj] == snapshots[id(ref)]
+
+    @pytest.mark.parametrize("v0, message", [
+        (GraphPoint("v", "w"), "@w is not a point of the graph"),
+        (GraphPoint("e", "e9", Fraction(1, 2)), "unknown edge e9"),
+        (GraphPoint("e", "e1", Fraction(3, 2)), "offset 3/2 not inside edge e1"),
+    ])
+    def test_base_off_the_graph_rejected_after_a_hit(self, v0, message):
+        model = theta_model()
+        cx = graphical_complex(model)
+        d = cx.divisor(graph_pairs=[(model.point_on("e1", Fraction(1, 2)), 1)])
+        burn(cx, d, model.vertex_point("u"))
+        burn(cx, d, model.vertex_point("v"))
+        assert len(cx.refinement_memo) == 1  # the second burn was a hit
+        for _ in range(2):  # a refusal leaves the shared refinement as it was
+            with pytest.raises(InputError, match=re.escape(message)):
+                burn(cx, d, v0)

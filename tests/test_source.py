@@ -122,3 +122,32 @@ def test_curve_class_uses_are_seen():
     src = ("from .curves import P1Oracle, CurveDivisor\nimport mcdiv.curves.TableOracle\n"
            "ok = isinstance(o, CurveDivisor)\nbad = isinstance(o, (int, curves.EllipticOracle))\n")
     assert [line for line, _ in _curve_class_uses(ast.parse(src))] == [1, 2, 4]
+
+
+README = ROOT / "README.md"
+
+
+def _constructor_memos(tree):
+    """The `*_memo` attributes that a constructor assigns on self."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.FunctionDef) and node.name == "__init__":
+            for sub in ast.walk(node):
+                if (isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Store)
+                        and isinstance(sub.value, ast.Name) and sub.value.id == "self"
+                        and sub.attr.endswith("_memo")):
+                    yield sub.attr
+
+
+def test_readme_names_every_memo_table():
+    """Operations touch no state but memo tables declared by constructors,
+    and the README names each of them by its attribute."""
+    memos = {m for path in PACKAGE for m in _constructor_memos(ast.parse(path.read_text()))}
+    assert {"nonneg_memo", "sites_memo", "refinement_memo", "meets_memo", "local_memo"} <= memos
+    (para,) = [p for p in README.read_text().split("\n\n") if "memo tables" in p]
+    assert [m for m in sorted(memos) if f"`{m}`" not in para] == []
+
+
+def test_memo_tables_are_seen():
+    src = ("class A:\n    def __init__(self):\n        self.x_memo = {}\n        self.memo = {}\n"
+           "        other.y_memo = {}\n\n    def f(self):\n        self.z_memo = {}\n")
+    assert list(_constructor_memos(ast.parse(src))) == ["x_memo"]
