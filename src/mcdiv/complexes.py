@@ -283,11 +283,11 @@ class ComplexRationalFunction:
 
 def _end_of_redge(cx, v, redge):
     """The base-edge end (edge name, end) at v that a refined segment meets."""
-    base = cx.model.edges[redge.base]
-    if redge.lo == 0 and redge.ends[0] == cx.model.vertex_point(v):
-        return base.name, 0
-    if redge.hi == base.length and redge.ends[1] == cx.model.vertex_point(v):
-        return base.name, 1
+    pv = cx.model.vertex_point(v)
+    if redge.ends[0] == pv:
+        return redge.base, 0
+    if redge.ends[1] == pv:
+        return redge.base, 1
     raise InputError("segment does not meet the vertex at a base-edge end")
 
 

@@ -14,7 +14,7 @@ from .complexes import ComplexDivisor, MetrizedComplex
 from .curves import AuditReport, CurveDivisor, P1Oracle
 from .errors import FieldTooSmallError, InputError, McdivError
 from .exact import INF, MatrixF, Poly, RationalFunc, _val0, laurent_at, ord_at
-from .rank import _first_twist, _largest_k, _potentials, rank, site_divisor
+from .rank import _first_twist, _largest_k, rank, site_divisor
 
 
 class FunctionSpace:
@@ -329,23 +329,25 @@ def _restricted_sites(cx, pools, fresh):
     return sites
 
 
-def _restricted_feasible(cx, d, e_div, spaces, bound, verdicts):
-    """Whether some integer vertex potential and per-vertex elements of
-    the given spaces make d - e_div + div(f) effective.  `verdicts` keeps,
-    under (v, key of the rest d_v - e_v) and then the differences f(w) - f(v)
-    at every edge of v but the last, the least last difference that meets,
-    or None (0 or None at a vertex with no edges)."""
+def _restricted_feasible(cx, d, e_div, spaces, bound, verdicts, ends):
+    """Whether some integer vertex potential, 0 at the root model.vertices[0]
+    and in [-bound, bound] elsewhere, and per-vertex elements of the given
+    spaces make d - e_div + div(f) effective; ends[v] lists the far ends of
+    v's edges in a tree.  `verdicts` keeps, under (v, key of the rest
+    d_v - e_v) and then the differences f(w) - f(v) at every edge of v but
+    the last, the least last difference that meets, or None (0 or None at a
+    vertex with no edges).  A vertex test reads f only at the vertex and its
+    neighbours, so a depth-first search settles each subtree once per
+    (v, f(parent), f(v)), trying inner children in itertools.product order;
+    as every test only grows with each difference, a leaf takes its largest
+    value meeting its own test."""
     graph = {p.where: c for p, c in (d.graph - e_div.graph).coeffs.items()}
     rest = {v: d.curve_part(v) - e_div.curve_part(v) for v in cx.oracle_vertices()}
     tables = {v: verdicts.setdefault((v, r.key()), {}) for v, r in rest.items()}
-    ends = {
-        w: [e.v if end == 0 else e.u for e, end in cx.model.incident_edges(w)]
-        for w in cx.model.vertices
-    }
+    memo = {}  # (v, f(parent), f(v)) -> whether v's subtree can meet its tests
 
-    def meets(v, f):
-        diffs = [f[w] - f[v] for w in ends[v]] or [0]
-        key, table = tuple(diffs[:-1]), tables[v]
+    def threshold(v, key):
+        table = tables[v]
         if key not in table:
             marks = [(e.name, end) for e, end in cx.model.incident_edges(v)]
             if marks:
@@ -353,17 +355,41 @@ def _restricted_feasible(cx, d, e_div, spaces, bound, verdicts):
                 table[key] = spaces[v].least_twist(rest[v] + twist, cx.marks[v][marks[-1]])
             else:
                 table[key] = 0 if spaces[v].subspace_meets(rest[v]) else None
-        return table[key] is not None and diffs[-1] >= table[key]
+        return table[key]
 
-    # graphical degrees first, then the spaces
-    return any(
-        all(
-            graph.get(w, 0) + sum(f[x] - f[w] for x in ends[w]) >= 0
-            for w in cx.graphical_vertices()
-        )
-        and all(meets(v, f) for v in cx.oracle_vertices())
-        for f in _potentials(list(cx.model.vertices), bound)
-    )
+    def holds(v, f):
+        diffs = [f[w] - f[v] for w in ends[v]]
+        if v not in rest:
+            return graph.get(v, 0) + sum(diffs) >= 0
+        diffs = diffs or [0]
+        t = threshold(v, tuple(diffs[:-1]))
+        return t is not None and diffs[-1] >= t
+
+    def top(c, fv):
+        # a leaf's largest value meeting its test, at most bound
+        t = threshold(c, ()) if c in rest else -graph.get(c, 0)
+        return -bound - 1 if t is None else min(fv - t, bound)
+
+    def settled(c, v, f):
+        key = (c, f[v], f[c])
+        if key not in memo:
+            memo[key] = search(c, v, f)
+        return memo[key]
+
+    def search(v, up, f):
+        leaves = [c for c in ends[v] if c != up and len(ends[c]) == 1]
+        inner = [c for c in ends[v] if c != up and len(ends[c]) > 1]
+        f.update((c, top(c, f[v])) for c in leaves)
+        if any(f[c] < -bound for c in leaves):
+            return False
+        for vals in itertools.product(range(-bound, bound + 1), repeat=len(inner)):
+            f.update(zip(inner, vals))
+            if holds(v, f) and all(settled(c, v, f) for c in inner):
+                return True
+        return False
+
+    root = cx.model.vertices[0]
+    return search(root, None, {root: 0})
 
 
 def restricted_rank(cx, d: ComplexDivisor, spaces, validate=False) -> int:
@@ -372,7 +398,7 @@ def restricted_rank(cx, d: ComplexDivisor, spaces, validate=False) -> int:
     integer vertex potential plus per-vertex space elements restore
     effectivity.
 
-    Only integer divisors on unit-edge-length models are supported, with a
+    Only integer divisors on unit-edge-length trees are supported, with a
     projective line (and its function space) at every oracle vertex.
     With validate, the search is rerun with the potential bound widened by
     2 and one more fresh chip site per component, and must give the same
@@ -380,9 +406,14 @@ def restricted_rank(cx, d: ComplexDivisor, spaces, validate=False) -> int:
     along its edges, as a larger one only enlarges the bound that a space
     element must meet; so along the last edge it is one threshold, the
     least twist (FunctionSpace.least_twist), kept per rest and the others.
+    The potentials are searched depth first from model.vertices[0], each
+    subtree once per (vertex, f(parent), f(vertex)), and a leaf takes the
+    largest value its threshold allows (see _restricted_feasible).
     """
     if any(e.length != 1 for e in cx.model.edges.values()):
         raise InputError("restricted rank needs unit edge lengths")
+    if cx.model.first_betti() != 0:
+        raise InputError("restricted rank needs a tree dual graph")
     for v in cx.oracle_vertices():
         if v not in spaces:
             raise InputError(f"no function space at {v}")
@@ -395,13 +426,15 @@ def restricted_rank(cx, d: ComplexDivisor, spaces, validate=False) -> int:
 
     pools = _special_pools(cx, d, spaces)
     verdicts = {}  # shared by both passes; see _restricted_feasible
+    ends = {w: [e.v if end == 0 else e.u for e, end in cx.model.incident_edges(w)]
+            for w in cx.model.vertices}
 
     def rank_with(widen, fresh):
         base = d.deg_plus() + widen
         r = _largest_k(
             _restricted_sites(cx, pools, fresh),
             lambda combo: _restricted_feasible(
-                cx, d, site_divisor(cx, combo), spaces, base + len(combo), verdicts
+                cx, d, site_divisor(cx, combo), spaces, base + len(combo), verdicts, ends
             ),
             cap + 1,
         )

@@ -318,6 +318,17 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "crude-limit: ok" in out and "biconditional: ok" in out
 
+    def test_limit_check_on_a_cycle_exits_2(self, tmp_path, capsys):
+        # Y and Z joined by two nodes: no tree, so no limit-series check
+        doc = json.loads(json.dumps(LIMIT_DOC))
+        doc["complex"]["vertices"][0]["marks"]["n1:0"] = {"x": "1"}
+        doc["complex"]["vertices"][1]["marks"]["n1:1"] = {"x": "1"}
+        doc["complex"]["edges"].append({"name": "n1", "ends": ["Y", "Z"], "length": "1"})
+        f = tmp_path / "cycle.json"
+        f.write_text(json.dumps(doc))
+        assert main(["limit-check", str(f), "--series", "L"]) == 2
+        assert "tree dual graph" in capsys.readouterr().err
+
     def test_unknown_divisor_exit_2(self, theta_file, capsys):
         assert main(["rank", theta_file, "--divisor", "NOPE"]) == 2
 

@@ -16,6 +16,7 @@ from mcdiv.complexes import (
     ComplexRationalFunction,
     MetrizedComplex,
     NodalCurveDescription,
+    _end_of_redge,
     as_trivial_complex,
     graphical_complex,
     move_fire_interior,
@@ -41,6 +42,7 @@ from mcdiv.rank import Moderator
 from mcdiv.reduction import reduce_divisor
 
 from conftest import (
+    line_chain,
     random_complex,
     random_divisor,
     random_witness,
@@ -330,6 +332,28 @@ class TestCanonical:
         for _ in range(20):
             cx = random_complex(rng)
             assert cx.canonical().degree() == 2 * cx.genus() - 2
+
+
+class TestEndOfRedge:
+    """The base-edge end at which a refined segment meets an oracle vertex."""
+
+    def test_segment_meets_the_vertex_at_either_end(self):
+        # n0 runs from C0 to C1; its midpoint splits it into a segment whose
+        # lo end is C0 and one whose hi end is C1
+        cx = line_chain(2)
+        whole, = cx.model.refinement().redges
+        lo, hi = cx.model.refinement([cx.model.point_on("n0", Fraction(1, 2))]).redges
+        assert _end_of_redge(cx, "C0", lo) == ("n0", 0)
+        assert _end_of_redge(cx, "C1", hi) == ("n0", 1)
+        assert _end_of_redge(cx, "C0", whole) == ("n0", 0)
+        assert _end_of_redge(cx, "C1", whole) == ("n0", 1)
+
+    @pytest.mark.parametrize("v, half", [("C1", 0), ("C0", 1)])
+    def test_segment_away_from_the_vertex_refused(self, v, half):
+        cx = line_chain(2)
+        seg = cx.model.refinement([cx.model.point_on("n0", Fraction(1, 2))]).redges[half]
+        with pytest.raises(InputError, match="segment does not meet the vertex"):
+            _end_of_redge(cx, v, seg)
 
 
 class TestRegularize:

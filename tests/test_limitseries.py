@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mcdiv.complexes import NodalCurveDescription, as_trivial_complex, regularize
+from mcdiv.complexes import MetrizedComplex, NodalCurveDescription, as_trivial_complex, regularize
 from mcdiv.curves import P1Oracle
 from mcdiv.errors import InputError
 from mcdiv.exact import INF, Poly, PrimeField, QQ, RationalFunc, ord_at
@@ -483,6 +483,12 @@ class TestRestrictedRankGuards:
             model = GraphModel(["a", "b"], [("e", "a", "b", 2)])
             cx = as_trivial_complex(model)
             return cx, cx.zero_divisor(), {"a": mono(0), "b": mono(0)}
+        if case == "cycle":
+            cx = regularize(NodalCurveDescription(
+                {"Y": P1Oracle(QQ), "Z": P1Oracle(QQ)},
+                [("Y", QQ.elem(0), "Z", QQ.elem(0)), ("Y", QQ.elem(1), "Z", QQ.elem(1))],
+            ))
+            return cx, cx.zero_divisor(), {"Y": mono(0, 1), "Z": mono(0, 1)}
         cx = two_lines()
         spaces = {"Y": mono(0, 1), "Z": mono(0, 1)}
         if case == "missing space":
@@ -493,6 +499,7 @@ class TestRestrictedRankGuards:
 
     @pytest.mark.parametrize("case, message", [
         ("edge length", "unit edge lengths"),
+        ("cycle", "tree dual graph"),
         ("missing space", "no function space at Z"),
         ("interior chip", "vertex-supported divisors"),
     ])
@@ -567,10 +574,10 @@ class TestRestrictedSearchCount:
         assert counts[False] > 0 and counts[True] == counts[False]
 
 
-def _per_potential_feasible(cx, d, e_div, spaces, bound, verdicts):
-    """The feasibility test with no verdict table: every potential that
-    passes the graphical degrees asks subspace_meets at every oracle
-    vertex."""
+def _per_potential_feasible(cx, d, e_div, spaces, bound, verdicts, ends):
+    """The feasibility test with no verdict table and no tree search: every
+    potential in the box that passes the graphical degrees asks
+    subspace_meets at every oracle vertex; `ends` goes unread."""
     graph = {p.where: c for p, c in (d.graph - e_div.graph).coeffs.items()}
     for f in _potentials(list(cx.model.vertices), bound):
         if all(
@@ -626,12 +633,19 @@ class TestVerdictTable:
     def assert_agree(self, monkeypatch, cx, d, combos, validate=False):
         vs = list(cx.model.vertices)
         div = eqD_divisor(cx, vs[0], {v: cx.oracles[v].divisor((INF, d)) for v in vs})
+        return self.agreeing_ranks(monkeypatch, cx, div, vs, combos,
+                                   range(len(combos)) if validate else ())
+
+    def agreeing_ranks(self, monkeypatch, cx, div, names, combos, validated):
+        """The ranks of div with the spaces of each combination at the named
+        vertices, asserting that both searches agree; the combinations at
+        the indices in `validated` run with validate."""
         ranks = []
-        for combo in combos:
+        for i, combo in enumerate(combos):
             fast, slow = self.both_ranks(
                 monkeypatch, cx, div,
-                lambda: {v: qq_space(cx.oracles[v], exps) for v, exps in zip(vs, combo)},
-                validate=validate,
+                lambda: {v: qq_space(cx.oracles[v], exps) for v, exps in zip(names, combo)},
+                validate=i in validated,
             )
             assert fast == slow, combo
             ranks.append(fast)
@@ -655,6 +669,88 @@ class TestVerdictTable:
         ))
         combos = [((0, 1), (0, 1), (0, 1)), ((0, 1), (1, 2), (0, 2)), ((1, 2), (0, 1), (0, 1))]
         assert self.assert_agree(monkeypatch, cx, 2, combos, validate=True)[0] == 1
+
+    @staticmethod
+    def claw(first):
+        """A projective line X meeting three projective lines L0, L1, L2 at
+        0, 1 and 2 on X and at INF on each Li, with 2*(INF) on X; `first` is
+        the first model vertex, where the search is rooted."""
+        names = ["X", "L0", "L1", "L2"]
+        comps = {v: P1Oracle(QQ) for v in [first] + [v for v in names if v != first]}
+        cx = regularize(NodalCurveDescription(
+            comps, [("X", QQ.elem(i), f"L{i}", INF) for i in range(3)]
+        ))
+        return cx, cx.divisor(curve_parts={"X": cx.oracles["X"].divisor((INF, 2))}), names
+
+    @staticmethod
+    def graphical_path(vertices, edges, chips):
+        """Projective lines A and B over Q and a graphical vertex g on a path
+        of unit edges, with the given chips at g and one at INF on A; each
+        line meets its first edge at INF and its second at 0."""
+        model = GraphModel(vertices, [(n, u, v, 1) for n, u, v in edges])
+        oracles = {v: P1Oracle(QQ) for v in ("A", "B")}
+        marks = {v: {} for v in oracles}
+        for e in model.edges.values():
+            for end, w in ((0, e.u), (1, e.v)):
+                if w in marks:
+                    marks[w][(e.name, end)] = QQ.elem(0) if marks[w] else INF
+        cx = MetrizedComplex(model, oracles, marks)
+        d = cx.divisor(graph_pairs=[(model.vertex_point("g"), chips)] if chips else (),
+                       curve_parts={"A": cx.oracles["A"].divisor((INF, 1))})
+        return cx, d, ["A", "B"]
+
+    @pytest.mark.parametrize("first", ["X", "L0"], ids=["centre-root", "leaf-root"])
+    def test_claw(self, monkeypatch, first):
+        # rooted at X, the root has three leaf children; rooted at L0, the
+        # root is a leaf whose one child X has two leaf children
+        combos = [((0, 1),) * 4, ((1, 2), (0, 1), (0, 1), (0, 1)),
+                  ((0, 1), (0, 1), (1,), (0,)), ((0, 1), (0, 2), (1, 2), (0, 1)),
+                  ((0,), (2,), (0,), (0,))]
+        cx, d, names = self.claw(first)
+        ranks = self.agreeing_ranks(monkeypatch, cx, d, names, combos, validated={0})
+        assert ranks == [1, 1, 0, 0, -1]
+
+    @pytest.mark.parametrize("vertices, edges, expected", [
+        (["A", "g", "B"], [("e1", "A", "g"), ("e2", "g", "B")],
+         [1, 0, -1, 0, 1, 0, 0, 0, 1, 0, 1, 0]),
+        (["A", "B", "g"], [("e1", "B", "g"), ("e2", "A", "B")],
+         [0, 0, -1, 0, 1, 0, 0, 0, 1, 0, 1, 0]),
+    ], ids=["inner-graphical", "graphical-leaf"])
+    def test_graphical_vertex(self, monkeypatch, vertices, edges, expected):
+        # the graphical vertex's test reads its chips and every difference
+        # at it; as a leaf it takes f(B) plus its chips, which reach B at INF
+        combos = [((0, 1), (0, 1)), ((1,), (0, 1)), ((0, 2), (1, 2)), ((0, 1), (0,))]
+        ranks = []
+        for chips in (0, 1, 2):
+            cx, d, names = self.graphical_path(vertices, edges, chips)
+            ranks += self.agreeing_ranks(monkeypatch, cx, d, names, combos,
+                                              validated={0} if chips == 1 else ())
+        assert ranks == expected
+
+    @pytest.mark.parametrize("shape", ["claw", "graphical-leaf"])
+    def test_feasibility_where_the_box_binds(self, shape):
+        # at bounds 0-3 the box [-bound, bound] decides some answers, so a
+        # leaf's value must be clamped to it and refused below it
+        if shape == "claw":
+            cx, d, names = self.claw("X")
+            combo = ((0, 1), (0, 1), (1,), (0, 2))
+        else:
+            cx, d, names = self.graphical_path(
+                ["A", "B", "g"], [("e1", "B", "g"), ("e2", "A", "B")], 2)
+            combo = ((0, 1), (0, 1))
+        spaces = {v: qq_space(cx.oracles[v], exps) for v, exps in zip(names, combo)}
+        ends = {w: [e.v if end == 0 else e.u for e, end in cx.model.incident_edges(w)]
+                for w in cx.model.vertices}
+        tests = [cx.zero_divisor()] + [
+            point_divisor(cx, (v, q)) for v in names for q in (QQ.elem(3), INF)
+        ] + [point_divisor(cx, cx.model.vertex_point(w)) for w in cx.graphical_vertices()]
+        answers = set()
+        for bound in range(4):
+            for e_div in tests:
+                fast = limitseries._restricted_feasible(cx, d, e_div, spaces, bound, {}, ends)
+                assert fast == _per_potential_feasible(cx, d, e_div, spaces, bound, {}, ends)
+                answers.add(fast)
+        assert answers == {True, False}
 
     def test_single_component(self, monkeypatch):
         # a vertex with no edges keeps its plain verdict on the rest
@@ -798,6 +894,31 @@ class TestLimitEquivalence:
         rep = limit_equiv_audit(cx, aspects, "Y", 2, 1)
         assert rep.passed()
         assert not rep.data["crude"] and rep.data["restricted_rank"] != 1
+
+    def test_biconditional_on_four_and_five_chains(self):
+        # crude <=> restricted rank = r, on chains beyond criterion 9's:
+        # each line keeps the space of a limit series, (0..r) on C0 and
+        # (d-r..d) after it, or with odds 1/4 takes a seeded catalogue space
+        rng = random.Random(29)
+        crude = set()
+        for n in (4, 5):
+            cx = line_chain(n)
+            vs = list(cx.model.vertices)
+            for d, r in ((2, 1), (3, 1), (3, 2)):
+                catalog = space_catalog(d, r)
+                series = [tuple(range(r + 1))] + [tuple(range(d - r, d + 1))] * (n - 1)
+                for _ in range(16):
+                    combo = [rng.choice(catalog) if rng.random() < 0.25 else s for s in series]
+                    aspects = {
+                        v: Aspect(cx.oracles[v].divisor((INF, d)), qq_space(cx.oracles[v], exps))
+                        for v, exps in zip(vs, combo)
+                    }
+                    ok, _ = crude_limit_check(cx, aspects, d, r)
+                    div = eqD_divisor(cx, vs[0], {v: a.divisor for v, a in aspects.items()})
+                    rr = restricted_rank(cx, div, {v: a.space for v, a in aspects.items()})
+                    assert ok == (rr == r), (n, d, r, combo)
+                    crude.add(ok)
+        assert crude == {True, False}
 
     def test_single_component(self):
         cx = regularize(NodalCurveDescription({"Y": P1Oracle(QQ)}, []))
