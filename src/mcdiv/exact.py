@@ -292,14 +292,16 @@ class Poly:
 
     def rational_roots(self):
         """Roots lying in the base field, ascending and with multiplicity,
-        plus the nonsplit cofactor.  Over F_p the scan of candidates stops
-        once the cofactor is constant."""
+        plus the nonsplit cofactor.  The root 0 comes first, its multiplicity
+        read from the leading zero coefficients.  Over F_p the scan of
+        candidates stops once the cofactor is constant."""
         if self.is_zero():
             raise InputError("zero polynomial")
-        roots = []
-        p = self
+        k = _val0(self)
+        roots = [self.field.zero()] * k
+        p = Poly(self.field, self.coeffs[k:])
         if isinstance(self.field, PrimeField):
-            for i in range(self.field.p):
+            for i in range(1, self.field.p):
                 if p.degree == 0:
                     break
                 a = Fp(i, self.field.p)
@@ -307,29 +309,18 @@ class Poly:
                     roots.append(a)
                     p = p // Poly.make(self.field, [-a, 1])
         else:
-            # rational root theorem on the primitive integer model
+            # rational root theorem on the primitive integer model; 0 is no
+            # root of p any more
             p = p.monic()
             while p.degree > 0:
                 den_lcm = math.lcm(*(c.denominator for c in p.coeffs))
                 ints = [int(c * den_lcm) for c in p.coeffs]
                 a0, an = ints[0], ints[-1]
-                if a0 == 0:
-                    root = Fraction(0)
-                else:
-                    root = None
-                    for r in _divisors(abs(a0)):
-                        for s in _divisors(abs(an)):
-                            for sign in (1, -1):
-                                cand = Fraction(sign * r, s)
-                                if not p(cand):
-                                    root = cand
-                                    break
-                            if root is not None:
-                                break
-                        if root is not None:
-                            break
-                    if root is None:
-                        break
+                cands = (Fraction(sign * r, s) for r in _divisors(abs(a0))
+                         for s in _divisors(abs(an)) for sign in (1, -1))
+                root = next((c for c in cands if not p(c)), None)
+                if root is None:
+                    break
                 roots.append(root)
                 p = p // Poly.make(self.field, [-root, 1])
         return roots, p

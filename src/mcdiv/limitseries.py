@@ -13,7 +13,9 @@ from dataclasses import dataclass
 from .complexes import ComplexDivisor, MetrizedComplex
 from .curves import AuditReport, CurveDivisor, P1Oracle
 from .errors import FieldTooSmallError, InputError, McdivError
-from .exact import INF, MatrixF, Poly, RationalFunc, _val0, laurent_at, ord_at
+# ord_at and laurent_at go unused here, but the benchmark's tracer
+# (perfbench/spans.py) patches them at this import site
+from .exact import INF, MatrixF, Poly, RationalFunc, laurent_at, ord_at  # noqa: F401
 from .rank import _first_twist, _largest_k, rank, site_divisor
 
 
@@ -21,8 +23,8 @@ class FunctionSpace:
     """A linear span of rational functions on a projective line, held by a
     validated basis over one common denominator: basis[i] = nums[i] / den,
     and `poles` are the roots of den, sorted.  Its local table, filled on the
-    first query at a finite point p, holds each numerator's Taylor
-    coefficients at p and the multiplicity of p in den."""
+    first query at a finite point p, holds the Taylor rows of the numerators
+    at p with their orders (see _taylor)."""
 
     def __init__(self, oracle: P1Oracle, basis):
         if not isinstance(oracle, P1Oracle):
@@ -51,54 +53,91 @@ class FunctionSpace:
         if MatrixF(field, rows).rank() < len(rows):
             raise InputError("basis is linearly dependent")
         self.meets_memo = {}  # bound key -> bool; only ever gains entries
-        self.local_memo = {}  # point key -> ([n.shifted(p) for n in nums], den.mult_at(p))
+        self.local_memo = {}  # point key -> [(order, Taylor row)] at that point
 
     @property
     def dim(self):
         return len(self.basis)
 
-    def _local(self, p):
-        """The local table's entry at the finite point p, filled on first use."""
-        key = self.oracle.point_key(p)
-        if key not in self.local_memo:
-            self.local_memo[key] = ([n.shifted(p) for n in self.nums], self.den.mult_at(p))
-        return self.local_memo[key]
+    def _taylor(self, p):
+        """(order, row) for each Taylor row of the numerators at p, by growing
+        order: row j holds coefficient j of each numerator shifted to p and
+        has order j - mult_p(den); at INF rows run from the top coefficient
+        down, and row j has order deg den - j.  The rows at a finite point
+        are the local table's entry there, filled on first use."""
+        if p is INF:
+            cols, base, step = [n.coeffs for n in self.nums], self.den.degree, -1
+        else:
+            key = self.oracle.point_key(p)
+            if key in self.local_memo:
+                return self.local_memo[key]
+            cols, base, step = [n.shifted(p).coeffs for n in self.nums], -self.den.mult_at(p), 1
+        zero = self.oracle.field.zero()
+        rows = [(base + step * j, [c[j] if j < len(c) else zero for c in cols])
+                for j in range(max(map(len, cols)))]
+        if p is INF:
+            return rows[::-1]
+        self.local_memo[key] = rows
+        return rows
 
     def min_ord(self, p) -> int:
         """Smallest order at p of a nonzero element of the span."""
         if p is INF:
             return self.den.degree - max(n.degree for n in self.nums)
-        shifted, mden = self._local(p)
-        return min(_val0(s) for s in shifted) - mden
+        return next(k for k, row in self._taylor(p) if any(row))
 
     def contained_in_L(self, d: CurveDivisor) -> bool:
         """Whether every element f of the span satisfies div(f) + d >= 0."""
-        pts = set(p for p in d.support() if p is not INF)
-        pts.update(self.poles)
-        return self.min_ord(INF) >= -d.get(INF) and all(
-            self.min_ord(p) >= -d.get(p) for p in pts
-        )
+        return not self._constraints(d)
+
+    def _rows(self, constraints):
+        """Linear conditions on the coefficients c_i of f = sum c_i nums[i] /
+        den saying ord_p(f) >= m_p for all constraints: the Taylor rows at p
+        of order below m_p vanish."""
+        return [row for p, m in constraints for k, row in self._taylor(p) if k < m]
+
+    def _constraints(self, bound: CurveDivisor):
+        """(p, -bound(p)) at each point p where div(f) + bound >= 0 asks more
+        of an element f than the span's least order there."""
+        pts = sorted({*bound.coeffs, *self.poles, INF}, key=self.oracle.point_key)
+        return [(p, -bound.get(p)) for p in pts if -bound.get(p) > self.min_ord(p)]
 
     def constrained_dim(self, constraints) -> int:
-        """Dimension of {f in span : ord_p(f) >= m_p for all constraints}.
-        For f = sum c_i nums[i] / den, the Taylor coefficients of
-        sum c_i nums[i] at p below m_p + mult_p(den) vanish (at INF: its
-        coefficients of t^j with j > deg den - m_p)."""
-        rows = []
-        field = self.oracle.field
-        zero = field.zero()
-        for p, m in constraints:
-            if p is INF:
-                cols = [n.coeffs for n in self.nums]
-                js = range(max(0, self.den.degree - m + 1), max(map(len, cols)))
-            else:
-                shifted, mden = self._local(p)
-                cols = [s.coeffs for s in shifted]
-                js = range(m + mden)
-            rows.extend([c[j] if j < len(c) else zero for c in cols] for j in js)
+        """Dimension of {f in span : ord_p(f) >= m_p for all constraints}."""
+        rows = self._rows(constraints)
         if not rows:
             return self.dim
-        return self.dim - MatrixF(field, rows).rank()
+        return self.dim - MatrixF(self.oracle.field, rows).rank()
+
+    def orders(self, q, constraints=()) -> list:
+        """The orders at q, ascending, of the nonzero elements of {f in span :
+        ord_p(f) >= m_p for all constraints}, one per dimension: one
+        elimination takes the constraint rows, then the Taylor rows at q by
+        growing order, and each of these that raises the rank contributes
+        its order."""
+        one = self.oracle.field.one()
+        echelon = []  # (pivot column, row with 1 there and 0 at earlier pivots)
+
+        def raises(row):
+            for c, e in echelon:
+                a = row[c]
+                if a:
+                    row = [x - a * y for x, y in zip(row, e)]
+            c = next((i for i, x in enumerate(row) if x), None)
+            if c is not None:
+                inv = one / row[c]
+                echelon.append((c, [x * inv for x in row]))
+            return c is not None
+
+        for row in self._rows(constraints):
+            raises(row)
+        out = []
+        for k, row in self._taylor(q):
+            if len(echelon) == self.dim:
+                break
+            if raises(row):
+                out.append(k)
+        return out
 
     def subspace_meets(self, bound: CurveDivisor) -> bool:
         """Whether some nonzero element f has div(f) + bound >= 0."""
@@ -106,22 +145,18 @@ class FunctionSpace:
         key = bound.key()
         if key in cache:
             return cache[key]
-        pts = sorted({*bound.coeffs, *self.poles, INF}, key=self.oracle.point_key)
-        constraints = [(p, -bound.get(p)) for p in pts if -bound.get(p) > self.min_ord(p)]
-        cache[key] = self.constrained_dim(constraints) > 0
+        cache[key] = self.constrained_dim(self._constraints(bound)) > 0
         return cache[key]
 
     def least_twist(self, bound: CurveDivisor, q):
         """The least integer t with subspace_meets(bound + t*(q)), or None.
-        Meeting only grows with t; q constrains nothing from t = -bound(q) -
-        min_ord(q) on, and no bound of negative degree meets."""
-        unit = bound.oracle.divisor((q, 1))
-        t = -bound.get(q) - self.min_ord(q)
-        if not self.subspace_meets(bound + unit.scale(t)):
-            return None
-        while t > -bound.degree() and self.subspace_meets(bound + unit.scale(t - 1)):
-            t -= 1
-        return t
+        The elements meeting bound away from q form a subspace; t must reach
+        -bound(q) - ord_q(f) for one nonzero f in it, so the least t is
+        -bound(q) minus its largest order at q, read by elimination (see
+        orders), and None when that subspace is 0."""
+        key = self.oracle.point_key
+        orders = self.orders(q, [(p, m) for p, m in self._constraints(bound) if key(p) != key(q)])
+        return -bound.get(q) - orders[-1] if orders else None
 
 
 def _wronskian(polys):
@@ -155,29 +190,14 @@ def ramification_points(space: FunctionSpace):
 
 def vanishing_sequence(oracle, d_v: CurveDivisor, space: FunctionSpace, p):
     """The strictly increasing orders ord_p(f) + d_v(p) over nonzero f in
-    the span, computed by elimination on leading coefficients."""
+    the span, read by one elimination on its Taylor rows at p (see
+    FunctionSpace.orders)."""
     if not space.contained_in_L(d_v):
         raise InputError("space is not contained in L(d_v)")
-    work = list(space.basis)
-    while True:
-        orders = [ord_at(f, p) for f in work]
-        seen = {}
-        clash = None
-        for i, k in enumerate(orders):
-            if k in seen:
-                clash = (seen[k], i)
-                break
-            seen[k] = i
-        if clash is None:
-            break
-        i, j = clash
-        ki, ci = laurent_at(work[i], p, 1)
-        kj, cj = laurent_at(work[j], p, 1)
-        factor = cj[0] / ci[0]
-        work[j] = work[j] - work[i].scale(factor)
-        if work[j].is_zero():
-            raise McdivError("internal error: dependent space in elimination")
-    return tuple(sorted(ord_at(f, p) + d_v.get(p) for f in work))
+    orders = space.orders(p)
+    if len(orders) != space.dim:
+        raise McdivError("internal error: dependent space in elimination")
+    return tuple(k + d_v.get(p) for k in orders)
 
 
 # -- compact-type limit series -------------------------------------------------
@@ -224,6 +244,11 @@ def crude_limit_check(cx: MetrizedComplex, aspects, d: int, r: int):
             raise InputError(f"no aspect at {v}")
         if isinstance(a, VanishingTable):
             continue
+        o = cx.oracles.get(v)
+        if a.divisor.oracle is not o:
+            raise InputError(f"aspect divisor at {v} is not on the curve at {v}")
+        if a.space.oracle.field != o.field:
+            raise InputError(f"function space at {v} is not over the field of its curve")
         if a.divisor.degree() != d:
             raise InputError(f"aspect at {v} has degree {a.divisor.degree()}, want {d}")
         if a.space.dim != r + 1:
@@ -335,12 +360,14 @@ def _restricted_feasible(cx, d, e_div, spaces, bound, verdicts, ends):
     spaces make d - e_div + div(f) effective; ends[v] lists the far ends of
     v's edges in a tree.  `verdicts` keeps, under (v, key of the rest
     d_v - e_v) and then the differences f(w) - f(v) at every edge of v but
-    the last, the least last difference that meets, or None (0 or None at a
-    vertex with no edges).  A vertex test reads f only at the vertex and its
-    neighbours, so a depth-first search settles each subtree once per
-    (v, f(parent), f(v)), trying inner children in itertools.product order;
-    as every test only grows with each difference, a leaf takes its largest
-    value meeting its own test."""
+    the last, the least last difference that meets (a least twist, read by
+    elimination), or None (0 or None at a vertex with no edges).  A vertex
+    test reads f only at the vertex and its neighbours, so a depth-first
+    search settles each subtree once per (v, f(parent), f(v)), trying inner
+    children in itertools.product order.  As every test only grows with
+    each difference, a leaf takes its largest value meeting its own test,
+    and an oracle vertex whose last edge leads to an inner child tries that
+    child's values only from the least one its threshold allows."""
     graph = {p.where: c for p, c in (d.graph - e_div.graph).coeffs.items()}
     rest = {v: d.curve_part(v) - e_div.curve_part(v) for v in cx.oracle_vertices()}
     tables = {v: verdicts.setdefault((v, r.key()), {}) for v, r in rest.items()}
@@ -376,16 +403,27 @@ def _restricted_feasible(cx, d, e_div, spaces, bound, verdicts, ends):
             memo[key] = search(c, v, f)
         return memo[key]
 
+    def lasts(v, f):
+        # the values of v's last neighbour that meet v's test
+        t = threshold(v, tuple(f[w] - f[v] for w in ends[v][:-1]))
+        return () if t is None else range(max(-bound, f[v] + t), bound + 1)
+
     def search(v, up, f):
         leaves = [c for c in ends[v] if c != up and len(ends[c]) == 1]
         inner = [c for c in ends[v] if c != up and len(ends[c]) > 1]
         f.update((c, top(c, f[v])) for c in leaves)
         if any(f[c] < -bound for c in leaves):
             return False
+        last = inner.pop() if v in rest and inner and inner[-1] == ends[v][-1] else None
         for vals in itertools.product(range(-bound, bound + 1), repeat=len(inner)):
             f.update(zip(inner, vals))
-            if holds(v, f) and all(settled(c, v, f) for c in inner):
-                return True
+            if last is None:
+                if holds(v, f) and all(settled(c, v, f) for c in inner):
+                    return True
+                continue
+            for f[last] in lasts(v, f):
+                if all(settled(c, v, f) for c in inner) and settled(last, v, f):
+                    return True
         return False
 
     root = cx.model.vertices[0]
@@ -405,10 +443,13 @@ def restricted_rank(cx, d: ComplexDivisor, spaces, validate=False) -> int:
     rank.  A vertex test is monotone in each difference of the potential
     along its edges, as a larger one only enlarges the bound that a space
     element must meet; so along the last edge it is one threshold, the
-    least twist (FunctionSpace.least_twist), kept per rest and the others.
+    least twist (FunctionSpace.least_twist), kept per rest and the others
+    and read by one elimination on the space's Taylor rows at the node.
     The potentials are searched depth first from model.vertices[0], each
-    subtree once per (vertex, f(parent), f(vertex)), and a leaf takes the
-    largest value its threshold allows (see _restricted_feasible).
+    subtree once per (vertex, f(parent), f(vertex)); a leaf takes the
+    largest value its threshold allows, and the last child of an oracle
+    vertex starts at the least value the vertex's threshold allows (see
+    _restricted_feasible).
     """
     if any(e.length != 1 for e in cx.model.edges.values()):
         raise InputError("restricted rank needs unit edge lengths")

@@ -2,6 +2,7 @@
 vanishing orders, and kernels."""
 
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import assume, given, settings
@@ -28,6 +29,38 @@ fractions = st.fractions(
 
 def fp5(vals):
     return [Fp(v, 5) for v in vals]
+
+
+def _division_roots(f):
+    """Rational roots by dividing out t - a once per root: over F_p for a =
+    0, 1, ..., p - 1 in turn; over Q for the candidates of the rational root
+    theorem on the monic cofactor, 0 first whenever it is a root."""
+    field = f.field
+    roots = []
+    if isinstance(field, PrimeField):
+        for i in range(field.p):
+            a = Fp(i, field.p)
+            while f.degree > 0 and not f(a):
+                roots.append(a)
+                f = f // Poly.make(field, [-a, 1])
+        return roots, f
+    f = f.monic()
+    while f.degree > 0:
+        den = lcm(*(c.denominator for c in f.coeffs))
+        ints = [int(c * den) for c in f.coeffs]
+        if ints[0] == 0:
+            cands = [Fraction(0)]
+        else:
+            cands = [Fraction(sign * r, s)
+                     for r in range(1, abs(ints[0]) + 1) if ints[0] % r == 0
+                     for s in range(1, abs(ints[-1]) + 1) if ints[-1] % s == 0
+                     for sign in (1, -1)]
+        root = next((a for a in cands if not f(a)), None)
+        if root is None:
+            break
+        roots.append(root)
+        f = f // Poly.make(field, [-root, 1])
+    return roots, f
 
 
 class TestFields:
@@ -135,6 +168,18 @@ class TestPoly:
             split = split * Poly.make(field, [-a, 1])
         assert cof * split == f
         assert all(cof.mult_at(a) == 0 for a in elems)
+
+    @settings(max_examples=120, deadline=None)
+    @given(st.sampled_from([0, 2, 5, 7]),
+           st.lists(st.integers(-6, 6), min_size=1, max_size=5), st.integers(0, 4))
+    def test_rational_roots_of_powers_of_t_match_division(self, p, g_coeffs, k):
+        # t^k * g over Q (p = 0) and F_p: the roots, their order and the
+        # cofactor are those of dividing out each root, 0 included, by t - a
+        field = QQ if p == 0 else PrimeField(p)
+        g = Poly.make(field, g_coeffs)
+        assume(not g.is_zero())
+        f = Poly.make(field, [0] * k + list(g.coeffs))
+        assert f.rational_roots() == _division_roots(f)
 
     def test_derivative(self):
         p = Poly.make(QQ, [5, 3, 0, 2])

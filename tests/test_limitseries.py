@@ -6,13 +6,13 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from mcdiv.complexes import MetrizedComplex, NodalCurveDescription, as_trivial_complex, regularize
 from mcdiv.curves import P1Oracle
-from mcdiv.errors import InputError
-from mcdiv.exact import INF, Poly, PrimeField, QQ, RationalFunc, ord_at
+from mcdiv.errors import InputError, McdivError
+from mcdiv.exact import INF, Poly, PrimeField, QQ, RationalFunc, laurent_at, ord_at
 from mcdiv.limitseries import (
     Aspect,
     FunctionSpace,
@@ -358,6 +358,82 @@ class TestVanishingSequence:
         assert ramification_points(h) == [QQ.elem(-2), QQ.elem(0)]
 
 
+def reference_vanishing_sequence(d_v, space, p):
+    """The vanishing sequence by elimination on the basis itself: while two
+    elements share an order at p (ord_at), subtract the multiple of one that
+    cancels the other's leading Laurent coefficient (laurent_at)."""
+    if not space.contained_in_L(d_v):
+        raise InputError("space is not contained in L(d_v)")
+    work = list(space.basis)
+    while True:
+        orders = [ord_at(f, p) for f in work]
+        seen = {}
+        clash = None
+        for i, k in enumerate(orders):
+            if k in seen:
+                clash = (seen[k], i)
+                break
+            seen[k] = i
+        if clash is None:
+            break
+        i, j = clash
+        _, ci = laurent_at(work[i], p, 1)
+        _, cj = laurent_at(work[j], p, 1)
+        work[j] = work[j] - work[i].scale(cj[0] / ci[0])
+        if work[j].is_zero():
+            raise McdivError("internal error: dependent space in elimination")
+    return tuple(sorted(ord_at(f, p) + d_v.get(p) for f in work))
+
+
+@st.composite
+def spaces_with_poles(draw):
+    """A span over Q, F5 or F7 of 1-3 elements: numerators of degree at most
+    4 with small coefficients, each over 0-2 linear factors t - a with
+    0 <= a < 4, so several elements may share a pole."""
+    field = draw(st.sampled_from([QQ, PrimeField(5), PrimeField(7)]))
+    basis = []
+    for _ in range(draw(st.integers(1, 3))):
+        num = Poly.make(field, draw(st.lists(st.integers(-3, 3), min_size=1, max_size=5)))
+        assume(not num.is_zero())
+        den = Poly.const(field, 1)
+        for a in draw(st.lists(st.integers(0, 3), max_size=2)):
+            den = den * Poly.make(field, [-a, 1])
+        basis.append(RationalFunc.make(num, den))
+    try:
+        return FunctionSpace(P1Oracle(field), basis)
+    except InputError:
+        assume(False)
+
+
+class TestVanishingByElimination:
+    """vanishing_sequence, read from the local table, against the
+    elimination on the basis above."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(spaces_with_poles(), st.data())
+    def test_matches_the_basis_elimination(self, space, data):
+        field = space.oracle.field
+        points = [field.elem(a) for a in range(5)] + space.poles + [INF]
+        p = data.draw(st.sampled_from(points))
+        # the least divisor containing the span, plus a little at p
+        pairs = [(q, -space.min_ord(q)) for q in space.poles + [INF]]
+        d_v = space.oracle.divisor(*pairs, (p, data.draw(st.integers(0, 2))))
+        want = reference_vanishing_sequence(d_v, space, p)
+        assert vanishing_sequence(space.oracle, d_v, space, p) == want
+        assert len(want) == space.dim
+
+    def test_every_kind_of_point(self):
+        # a finite point, a pole of two elements and INF, where two elements
+        # share the order 1, over Q
+        t1 = T - ONE
+        space = FunctionSpace(P1Oracle(QQ), [rf(ONE, t1), rf(T, t1 * t1), rf(T * T * T)])
+        d_v = space.oracle.divisor((QQ.elem(1), 2), (INF, 3))
+        got = {p: vanishing_sequence(space.oracle, d_v, space, p)
+               for p in (QQ.elem(0), QQ.elem(1), INF)}
+        assert got == {p: reference_vanishing_sequence(d_v, space, p) for p in got}
+        assert got == {QQ.elem(0): (0, 1, 3), QQ.elem(1): (0, 1, 2), INF: (0, 4, 5)}
+
+
 class TestCrudeCheck:
     def test_single_component_vacuous(self):
         cx = regularize(NodalCurveDescription({"Y": P1Oracle(QQ)}, []))
@@ -395,6 +471,42 @@ class TestCrudeCheck:
         }
         ok, violations = crude_limit_check(cx, aspects, 2, 1)
         assert ok, violations
+
+    @pytest.mark.parametrize("field", [PrimeField(5), QQ], ids=["F5", "another-Q-line"])
+    def test_divisor_on_another_curve_rejected(self, field):
+        # an F5 divisor and space at Z once passed with no violation
+        cx = two_lines()
+        other = P1Oracle(field)
+        aspects = {
+            "Y": Aspect(cx.oracles["Y"].divisor((INF, 2)), mono(0, 1)),
+            "Z": Aspect(other.divisor((INF, 2)), mono(1, 2, field=field)),
+        }
+        with pytest.raises(InputError, match="aspect divisor at Z is not on the curve at Z"):
+            crude_limit_check(cx, aspects, 2, 1)
+
+    def test_aspect_at_a_graphical_vertex_rejected(self):
+        # g carries no curve; this once raised KeyError
+        model = GraphModel(["A", "g"], [("e", "A", "g", 1)])
+        o = P1Oracle(QQ)
+        cx = MetrizedComplex(model, {"A": o}, {"A": {("e", 0): QQ.elem(0)}})
+        aspects = {"A": Aspect(o.divisor((INF, 1)), mono(0, 1)),
+                   "g": Aspect(P1Oracle(QQ).divisor((INF, 1)), mono(0, 1))}
+        with pytest.raises(InputError, match="aspect divisor at g is not on the curve at g"):
+            crude_limit_check(cx, aspects, 1, 1)
+
+    def test_space_over_another_field_rejected(self):
+        cx = two_lines()
+        oy, oz = cx.oracles["Y"], cx.oracles["Z"]
+        aspects = {
+            "Y": Aspect(oy.divisor((INF, 2)), mono(0, 1, field=PrimeField(5))),
+            "Z": Aspect(oz.divisor((INF, 2)), mono(1, 2)),
+        }
+        with pytest.raises(InputError, match="function space at Y is not over the field of its curve"):
+            crude_limit_check(cx, aspects, 2, 1)
+        aspects["Y"] = Aspect(oy.divisor((INF, 2)), mono(0, 1))
+        aspects["Z"] = Aspect(oz.divisor((INF, 2)), mono(1, 2, field=PrimeField(7)))
+        with pytest.raises(InputError, match="function space at Z is not over the field of its curve"):
+            crude_limit_check(cx, aspects, 2, 1)
 
 
 class TestEqD:
@@ -527,13 +639,13 @@ class TestRestrictedRankGuards:
 
 
 class TestRestrictedSearchCount:
-    """subspace_meets calls on the inputs of test_two_lines_limit_value.
+    """least_twist calls on the inputs of test_two_lines_limit_value.
     Each vertex test is read from a threshold table: one least twist per
     (vertex, rest, differences at every edge of the vertex but the last),
-    shared by both passes of a restricted_rank call, and each least twist
-    scans down from the twist where the last edge's point constrains
-    nothing; a change to the order of test chips or potentials, to the
-    short-circuits, to that key or to the scan moves these counts."""
+    shared by both passes of a restricted_rank call.  A least twist reads
+    its threshold by one elimination and asks subspace_meets nothing; a
+    change to the order of test chips or potentials, to the short-circuits
+    or to that key moves these counts."""
 
     @staticmethod
     def inputs():
@@ -542,19 +654,20 @@ class TestRestrictedSearchCount:
         d = eqD_divisor(cx, "Y", {"Y": oy.divisor((INF, 2)), "Z": oz.divisor((INF, 2))})
         return cx, d, {"Y": mono(0, 1), "Z": mono(1, 2)}
 
-    @pytest.mark.parametrize("validate, expected", [(False, 22), (True, 25)])
-    def test_subspace_meets_calls(self, monkeypatch, validate, expected):
-        calls = []
-        original = FunctionSpace.subspace_meets
+    @pytest.mark.parametrize("validate, expected", [(False, 11), (True, 13)])
+    def test_least_twist_calls(self, monkeypatch, validate, expected):
+        calls = {"least_twist": 0, "subspace_meets": 0}
+        for name in calls:
+            original = getattr(FunctionSpace, name)
 
-        def counting(self, bound):
-            calls.append(bound)
-            return original(self, bound)
+            def counting(self, *args, _name=name, _original=original):
+                calls[_name] += 1
+                return _original(self, *args)
 
-        monkeypatch.setattr(FunctionSpace, "subspace_meets", counting)
+            monkeypatch.setattr(FunctionSpace, name, counting)
         cx, d, spaces = self.inputs()
         assert restricted_rank(cx, d, spaces, validate=validate) == 1
-        assert len(calls) == expected
+        assert calls == {"least_twist": expected, "subspace_meets": 0}
 
     def test_validate_finds_roots_once(self, monkeypatch):
         # the basis zeros and ramification points of each space are found
