@@ -460,9 +460,48 @@ def _series_div(num: Poly, den: Poly, terms: int):
     return out
 
 
+class Echelon:
+    """One incremental, fraction-free elimination on integer rows over Q or
+    F_p, started on `rows`.  `add(row)` reduces a row by cross-multiplication
+    against the kept rows, each zero at the pivots kept before it, and keeps
+    what is left if nonzero: exactly when the row raises the rank.  Entries
+    stay bounded: over F_p they are reduced mod p, and a kept row is divided
+    by its content."""
+
+    def __init__(self, field, rows=()):
+        self.p = field.p if isinstance(field, PrimeField) else None
+        self.kept = []  # (pivot column, row nonzero there)
+        for row in rows:
+            self.add(row)
+
+    @staticmethod
+    def integers(field, row):
+        """A nonzero multiple of a row of field elements, in ints: over Q
+        scaled by the lcm of its denominators, over F_p its residues."""
+        if isinstance(field, PrimeField):
+            return [x.v for x in row]
+        den = math.lcm(*[x.denominator for x in row])
+        return [x.numerator * (den // x.denominator) for x in row]
+
+    def add(self, row) -> bool:
+        for c, e in self.kept:
+            if row[c]:
+                a, b = row[c], e[c]
+                row = [b * x - a * y for x, y in zip(row, e)]
+        if self.p:
+            row = [x % self.p for x in row]
+        c = next((i for i, x in enumerate(row) if x), None)
+        if c is None:
+            return False
+        g = math.gcd(*row)
+        self.kept.append((c, [x // g for x in row]))
+        return True
+
+
 @dataclass
 class MatrixF:
-    """Dense matrix over a Field (exact)."""
+    """Dense matrix over a Field (exact).  Its rank is the number of rows
+    that Echelon keeps; `rref` is the reference the tests check it by."""
 
     field: Field
     rows: list  # list of lists of field elements
@@ -499,30 +538,4 @@ class MatrixF:
         return m, pivots
 
     def rank(self):
-        """Over F_p the pivot count of rref.  Over Q each nonzero row is
-        scaled to integers and eliminated fraction-free (Bareiss): after k
-        pivots an entry is a (k+1)-minor, so dividing by the previous pivot
-        is exact."""
-        if not isinstance(self.field, Rationals):
-            return len(self.rref()[1])
-        m = []
-        for row in self.rows:
-            den = math.lcm(*[x.denominator for x in row])
-            ints = [x.numerator * (den // x.denominator) for x in row]
-            if any(ints):
-                m.append(ints)
-        nr, nc = len(m), (len(m[0]) if m else 0)
-        r, prev = 0, 1
-        for c in range(nc):
-            piv = next((i for i in range(r, nr) if m[i][c]), None)
-            if piv is None:
-                continue
-            m[r], m[piv] = m[piv], m[r]
-            p, top = m[r][c], m[r]
-            if c + 1 < nc:  # the last column needs only its pivot
-                for i in range(r + 1, nr):
-                    a = m[i][c]
-                    m[i] = [(p * x - a * y) // prev for x, y in zip(m[i], top)]
-            prev = p
-            r += 1
-        return r
+        return len(Echelon(self.field, [Echelon.integers(self.field, row) for row in self.rows]).kept)

@@ -15,7 +15,7 @@ from .curves import AuditReport, CurveDivisor, P1Oracle
 from .errors import FieldTooSmallError, InputError, McdivError
 # ord_at and laurent_at go unused here, but the benchmark's tracer
 # (perfbench/spans.py) patches them at this import site
-from .exact import INF, MatrixF, Poly, RationalFunc, laurent_at, ord_at  # noqa: F401
+from .exact import INF, Echelon, Poly, RationalFunc, laurent_at, ord_at  # noqa: F401
 from .rank import _first_twist, _largest_k, rank, site_divisor
 
 
@@ -24,7 +24,7 @@ class FunctionSpace:
     validated basis over one common denominator: basis[i] = nums[i] / den,
     and `poles` are the roots of den, sorted.  Its local table, filled on the
     first query at a finite point p, holds the Taylor rows of the numerators
-    at p with their orders (see _taylor)."""
+    at p with their orders, as integer rows (see _taylor)."""
 
     def __init__(self, oracle: P1Oracle, basis):
         if not isinstance(oracle, P1Oracle):
@@ -36,7 +36,9 @@ class FunctionSpace:
         field = oracle.field
         den = Poly.const(field, 1)
         poles = set()
-        for f in self.basis:
+        for i, f in enumerate(self.basis):
+            if f.field != field:
+                raise InputError(f"basis[{i}] is over {f.field}, not over {field}, the field of the line")
             if f.is_zero():
                 raise InputError("zero function in basis")
             roots, cof = f.den.rational_roots()
@@ -48,9 +50,8 @@ class FunctionSpace:
         self.nums = [f.num * (den // f.den) for f in self.basis]
         self.poles = sorted(poles, key=oracle.point_key)
         width = max(len(n.coeffs) for n in self.nums)
-        zero = field.zero()
-        rows = [list(n.coeffs) + [zero] * (width - len(n.coeffs)) for n in self.nums]
-        if MatrixF(field, rows).rank() < len(rows):
+        rows = [Echelon.integers(field, n.coeffs) + [0] * (width - len(n.coeffs)) for n in self.nums]
+        if len(Echelon(field, rows).kept) < len(rows):
             raise InputError("basis is linearly dependent")
         self.meets_memo = {}  # bound key -> bool; only ever gains entries
         self.local_memo = {}  # point key -> [(order, Taylor row)] at that point
@@ -63,8 +64,9 @@ class FunctionSpace:
         """(order, row) for each Taylor row of the numerators at p, by growing
         order: row j holds coefficient j of each numerator shifted to p and
         has order j - mult_p(den); at INF rows run from the top coefficient
-        down, and row j has order deg den - j.  The rows at a finite point
-        are the local table's entry there, filled on first use."""
+        down, and row j has order deg den - j.  A row is held in ints as a
+        nonzero multiple of itself (Echelon.integers), which moves no order
+        or rank.  The rows at a finite point are the local table's entry."""
         if p is INF:
             cols, base, step = [n.coeffs for n in self.nums], self.den.degree, -1
         else:
@@ -72,8 +74,9 @@ class FunctionSpace:
             if key in self.local_memo:
                 return self.local_memo[key]
             cols, base, step = [n.shifted(p).coeffs for n in self.nums], -self.den.mult_at(p), 1
-        zero = self.oracle.field.zero()
-        rows = [(base + step * j, [c[j] if j < len(c) else zero for c in cols])
+        field = self.oracle.field
+        zero = field.zero()
+        rows = [(base + step * j, Echelon.integers(field, [c[j] if j < len(c) else zero for c in cols]))
                 for j in range(max(map(len, cols)))]
         if p is INF:
             return rows[::-1]
@@ -103,39 +106,22 @@ class FunctionSpace:
         return [(p, -bound.get(p)) for p in pts if -bound.get(p) > self.min_ord(p)]
 
     def constrained_dim(self, constraints) -> int:
-        """Dimension of {f in span : ord_p(f) >= m_p for all constraints}."""
-        rows = self._rows(constraints)
-        if not rows:
-            return self.dim
-        return self.dim - MatrixF(self.oracle.field, rows).rank()
+        """Dimension of {f in span : ord_p(f) >= m_p for all constraints}: dim
+        less the number of constraint rows the elimination (Echelon) keeps."""
+        return self.dim - len(Echelon(self.oracle.field, self._rows(constraints)).kept)
 
     def orders(self, q, constraints=()) -> list:
         """The orders at q, ascending, of the nonzero elements of {f in span :
         ord_p(f) >= m_p for all constraints}, one per dimension: one
-        elimination takes the constraint rows, then the Taylor rows at q by
-        growing order, and each of these that raises the rank contributes
+        elimination (Echelon) takes the constraint rows, then the Taylor rows
+        at q by growing order, and each of these that it keeps contributes
         its order."""
-        one = self.oracle.field.one()
-        echelon = []  # (pivot column, row with 1 there and 0 at earlier pivots)
-
-        def raises(row):
-            for c, e in echelon:
-                a = row[c]
-                if a:
-                    row = [x - a * y for x, y in zip(row, e)]
-            c = next((i for i, x in enumerate(row) if x), None)
-            if c is not None:
-                inv = one / row[c]
-                echelon.append((c, [x * inv for x in row]))
-            return c is not None
-
-        for row in self._rows(constraints):
-            raises(row)
+        echelon = Echelon(self.oracle.field, self._rows(constraints))
         out = []
         for k, row in self._taylor(q):
-            if len(echelon) == self.dim:
+            if len(echelon.kept) == self.dim:
                 break
-            if raises(row):
+            if echelon.add(row):
                 out.append(k)
         return out
 
@@ -188,7 +174,7 @@ def ramification_points(space: FunctionSpace):
     return sorted(set(roots), key=space.oracle.point_key)
 
 
-def vanishing_sequence(oracle, d_v: CurveDivisor, space: FunctionSpace, p):
+def vanishing_sequence(d_v: CurveDivisor, space: FunctionSpace, p):
     """The strictly increasing orders ord_p(f) + d_v(p) over nonzero f in
     the span, read by one elimination on its Taylor rows at p (see
     FunctionSpace.orders)."""
@@ -272,7 +258,7 @@ def _aspect_sequence(cx, aspect, v, p):
         if p not in aspect.sequences:
             raise InputError(f"vanishing table at {v} has no entry for {p}")
         return tuple(aspect.sequences[p])
-    return vanishing_sequence(cx.oracles[v], aspect.divisor, aspect.space, p)
+    return vanishing_sequence(aspect.divisor, aspect.space, p)
 
 
 def eqD_divisor(cx: MetrizedComplex, root, aspect_divisors) -> ComplexDivisor:

@@ -374,7 +374,7 @@ def test_criterion_9_limit_series_biconditional():
         o_check,
         [_rf(ONE), _rf(Poly.make(QQ, [0, 0, 1, 1])), _rf(Poly.make(QQ, [0, 0, 0, 0, 1]))],
     )
-    seq = vanishing_sequence(o_check, o_check.divisor((INF, 4)), h, QQ.elem(0))
+    seq = vanishing_sequence(o_check.divisor((INF, 4)), h, QQ.elem(0))
     assert seq == (0, 2, 4)
     checked = 0
     mismatches = 0

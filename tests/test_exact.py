@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from mcdiv.errors import InputError
 from mcdiv.exact import (
     INF,
+    Echelon,
     Fp,
     MatrixF,
     Poly,
@@ -273,35 +274,74 @@ entries = st.sampled_from(
 )
 
 
+PRIMES = [PrimeField(2), PrimeField(5), PrimeField(7)]
+
+
 @st.composite
-def q_matrices(draw):
-    """Up to 6x6 matrices over Q, tall or wide, with zeroed rows and
-    columns and rows repeated as scalar multiples or sums of other rows,
-    so that rank deficits are common."""
+def matrices(draw, field=QQ):
+    """Up to 6x6 matrices over Q (entries above) or F_p (any residue), tall
+    or wide, with zeroed rows and columns and rows repeated as scalar
+    multiples or sums of other rows, so that rank deficits are common."""
+    elems = entries if field == QQ else st.integers(0, field.p - 1).map(field.elem)
     nr, nc = draw(st.integers(1, 6)), draw(st.integers(1, 6))
-    rows = [draw(st.lists(entries, min_size=nc, max_size=nc)) for _ in range(nr)]
+    rows = [draw(st.lists(elems, min_size=nc, max_size=nc)) for _ in range(nr)]
     index = st.integers(0, nr - 1)
-    for i, j, c in draw(st.lists(st.tuples(index, index, entries), max_size=3)):
+    for i, j, c in draw(st.lists(st.tuples(index, index, elems), max_size=3)):
         rows[i] = [c * x for x in rows[j]]
     for i, j, k in draw(st.lists(st.tuples(index, index, index), max_size=2)):
         rows[i] = [x + y for x, y in zip(rows[j], rows[k])]
     for i in draw(st.lists(index, max_size=2)):
-        rows[i] = [Fraction(0)] * nc
+        rows[i] = [field.zero()] * nc
     for j in draw(st.lists(st.integers(0, nc - 1), max_size=2)):
         for row in rows:
-            row[j] = Fraction(0)
+            row[j] = field.zero()
     return rows
 
 
 class TestRank:
-    # over Q the rank is fraction-free elimination, over F_p rref's pivots
+    # the rank is the one fraction-free elimination (Echelon) on integer
+    # rows; rref's pivots are the reference
 
     @settings(max_examples=300, deadline=None)
-    @given(q_matrices())
+    @given(matrices())
     def test_fraction_free_rank_counts_rref_pivots(self, rows):
         m = MatrixF.make(QQ, rows)
         assert m.rank() == len(m.rref()[1])
         assert MatrixF.make(QQ, list(zip(*rows))).rank() == m.rank()
+
+    @pytest.mark.parametrize("field", PRIMES, ids=repr)
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_rank_over_prime_fields_counts_rref_pivots(self, field, data):
+        rows = data.draw(matrices(field))
+        m = MatrixF(field, rows)
+        assert m.rank() == len(m.rref()[1])
+        assert MatrixF(field, [list(c) for c in zip(*rows)]).rank() == m.rank()
+
+    @pytest.mark.parametrize("field", [QQ, *PRIMES], ids=repr)
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_kept_rows_count_the_rank_of_each_prefix(self, field, data):
+        rows = data.draw(matrices(field))
+        echelon = Echelon(field)
+        before = 0
+        for n, row in enumerate(rows, 1):
+            kept = echelon.add(Echelon.integers(field, row))
+            after = len(MatrixF(field, rows[:n]).rref()[1])
+            assert len(echelon.kept) == after
+            assert kept == (after > before)
+            before = after
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(entries, min_size=1, max_size=6))
+    def test_integer_rows_are_nonzero_multiples(self, row):
+        ints = Echelon.integers(QQ, row)
+        assert all(type(x) is int for x in ints)
+        assert any(ints) == any(row)
+        # proportional: ints[i] * row[j] == ints[j] * row[i] for all i, j
+        assert all(a * y == b * x for a, x in zip(ints, row) for b, y in zip(ints, row))
+        # and with the same signs, so by a positive factor
+        assert all((a > 0) == (x > 0) for a, x in zip(ints, row))
 
     def test_pivot_after_a_column_without_one(self):
         # after the first pivot the second column is zero below it, so the

@@ -644,7 +644,7 @@ class TestNoHiddenState:
         d = cx.divisor(curve_parts={"Y": oy.divisor((INF, 2)),
                                     "Z": oz.divisor((INF, 2), (QQ.elem(0), -2))})
         assert spaces["Y"].contained_in_L(oy.divisor((INF, 1)))
-        assert vanishing_sequence(oz, oz.divisor((INF, 2)), spaces["Z"], QQ.elem(0)) == (1, 2)
+        assert vanishing_sequence(oz.divisor((INF, 2)), spaces["Z"], QQ.elem(0)) == (1, 2)
         assert restricted_rank(cx, d, spaces) == 1
         assert {v: set(vars(s)) for v, s in spaces.items()} == before
 
