@@ -500,15 +500,11 @@ class Echelon:
 
 @dataclass
 class MatrixF:
-    """Dense matrix over a Field (exact).  Its rank is the number of rows
-    that Echelon keeps; `rref` is the reference the tests check it by."""
+    """Dense matrix over a Field (exact).  Its `rref` is the reference the
+    tests check Echelon's ranks by."""
 
     field: Field
     rows: list  # list of lists of field elements
-
-    @staticmethod
-    def make(field, rows):
-        return MatrixF(field, [[field.elem(x) for x in r] for r in rows])
 
     def rref(self):
         """Reduced row echelon form; returns (matrix rows, pivot columns)."""
@@ -536,6 +532,3 @@ class MatrixF:
             if r == nr:
                 break
         return m, pivots
-
-    def rank(self):
-        return len(Echelon(self.field, [Echelon.integers(self.field, row) for row in self.rows]).kept)

@@ -22,9 +22,9 @@ from .rank import _first_twist, _largest_k, rank, site_divisor
 class FunctionSpace:
     """A linear span of rational functions on a projective line, held by a
     validated basis over one common denominator: basis[i] = nums[i] / den,
-    and `poles` are the roots of den, sorted.  Its local table, filled on the
-    first query at a finite point p, holds the Taylor rows of the numerators
-    at p with their orders, as integer rows (see _taylor)."""
+    and `poles` are the roots of den, sorted.  Its one cache, `local_memo`,
+    filled on the first query at a finite point p, holds the Taylor rows of
+    the numerators at p with their orders, as integer rows (see _taylor)."""
 
     def __init__(self, oracle: P1Oracle, basis):
         if not isinstance(oracle, P1Oracle):
@@ -53,7 +53,6 @@ class FunctionSpace:
         rows = [Echelon.integers(field, n.coeffs) + [0] * (width - len(n.coeffs)) for n in self.nums]
         if len(Echelon(field, rows).kept) < len(rows):
             raise InputError("basis is linearly dependent")
-        self.meets_memo = {}  # bound key -> bool; only ever gains entries
         self.local_memo = {}  # point key -> [(order, Taylor row)] at that point
 
     @property
@@ -127,12 +126,7 @@ class FunctionSpace:
 
     def subspace_meets(self, bound: CurveDivisor) -> bool:
         """Whether some nonzero element f has div(f) + bound >= 0."""
-        cache = self.meets_memo
-        key = bound.key()
-        if key in cache:
-            return cache[key]
-        cache[key] = self.constrained_dim(self._constraints(bound)) > 0
-        return cache[key]
+        return self.constrained_dim(self._constraints(bound)) > 0
 
     def least_twist(self, bound: CurveDivisor, q):
         """The least integer t with subspace_meets(bound + t*(q)), or None.
@@ -266,6 +260,11 @@ def eqD_divisor(cx: MetrizedComplex, root, aspect_divisors) -> ComplexDivisor:
     and twist every other aspect down by d at its parent-edge node."""
     if cx.model.first_betti() != 0:
         raise InputError("needs a tree dual graph")
+    if root not in cx.model.vertices:
+        raise InputError(f"unknown root {root!r}")
+    for v in cx.model.vertices:
+        if v not in aspect_divisors:
+            raise InputError(f"no aspect divisor at {v}")
     degs = {v: aspect_divisors[v].degree() for v in cx.model.vertices}
     d = degs[root]
     if any(val != d for val in degs.values()):
@@ -280,18 +279,14 @@ def _parent_edges(model, root):
     """For each non-root vertex: (edge name, end index at that vertex) of
     the first edge on the path to the root."""
     parent = {}
-    seen = {root}
-    frontier = [root]
-    while frontier:
-        new = []
-        for w in frontier:
-            for e, end in model.incident_edges(w):
-                other = e.v if end == 0 else e.u
-                if other not in seen:
-                    seen.add(other)
-                    parent[other] = (e.name, 1 - end)
-                    new.append(other)
-        frontier = new
+    stack = [root]
+    while stack:
+        w = stack.pop()
+        for e, end in model.incident_edges(w):
+            other = e.v if end == 0 else e.u
+            if other != root and other not in parent:
+                parent[other] = (e.name, 1 - end)
+                stack.append(other)
     return parent
 
 
@@ -344,43 +339,38 @@ def _restricted_feasible(cx, d, e_div, spaces, bound, verdicts, ends):
     """Whether some integer vertex potential, 0 at the root model.vertices[0]
     and in [-bound, bound] elsewhere, and per-vertex elements of the given
     spaces make d - e_div + div(f) effective; ends[v] lists the far ends of
-    v's edges in a tree.  `verdicts` keeps, under (v, key of the rest
-    d_v - e_v) and then the differences f(w) - f(v) at every edge of v but
-    the last, the least last difference that meets (a least twist, read by
-    elimination), or None (0 or None at a vertex with no edges).  A vertex
-    test reads f only at the vertex and its neighbours, so a depth-first
-    search settles each subtree once per (v, f(parent), f(v)), trying inner
-    children in itertools.product order.  As every test only grows with
-    each difference, a leaf takes its largest value meeting its own test,
-    and an oracle vertex whose last edge leads to an inner child tries that
-    child's values only from the least one its threshold allows."""
+    v's edges in a tree.  Every vertex test is one threshold: the difference
+    f(w) - f(v) to v's last neighbour w (v itself when v has no edges)
+    reaches threshold(v, the other differences): -D(v) less their sum at a
+    graphical vertex, and at an oracle vertex the least twist or None, kept
+    in `verdicts` under (v, key of the test chips at v), which stands for
+    the rest d_v - e_v as d is fixed, and then the others.  A test reads f
+    only at a vertex and its neighbours, so a depth-first search settles
+    each subtree once per (v, f(parent), f(v)), trying inner children in
+    itertools.product order.  As every test only grows with each
+    difference, a leaf takes its largest value meeting its test, and a
+    vertex's last child starts at the least value its threshold allows."""
     graph = {p.where: c for p, c in (d.graph - e_div.graph).coeffs.items()}
-    rest = {v: d.curve_part(v) - e_div.curve_part(v) for v in cx.oracle_vertices()}
-    tables = {v: verdicts.setdefault((v, r.key()), {}) for v, r in rest.items()}
+    tables = {v: verdicts.setdefault((v, e_div.curve_part(v).key()), {}) for v in cx.oracle_vertices()}
     memo = {}  # (v, f(parent), f(v)) -> whether v's subtree can meet its tests
 
     def threshold(v, key):
+        if v not in tables:
+            return -graph.get(v, 0) - sum(key)
         table = tables[v]
         if key not in table:
+            rest = d.curve_part(v) - e_div.curve_part(v)
             marks = [(e.name, end) for e, end in cx.model.incident_edges(v)]
             if marks:
                 twist = cx._on_marks(v, zip(marks, key))
-                table[key] = spaces[v].least_twist(rest[v] + twist, cx.marks[v][marks[-1]])
+                table[key] = spaces[v].least_twist(rest + twist, cx.marks[v][marks[-1]])
             else:
-                table[key] = 0 if spaces[v].subspace_meets(rest[v]) else None
+                table[key] = 0 if spaces[v].subspace_meets(rest) else None
         return table[key]
-
-    def holds(v, f):
-        diffs = [f[w] - f[v] for w in ends[v]]
-        if v not in rest:
-            return graph.get(v, 0) + sum(diffs) >= 0
-        diffs = diffs or [0]
-        t = threshold(v, tuple(diffs[:-1]))
-        return t is not None and diffs[-1] >= t
 
     def top(c, fv):
         # a leaf's largest value meeting its test, at most bound
-        t = threshold(c, ()) if c in rest else -graph.get(c, 0)
+        t = threshold(c, ())
         return -bound - 1 if t is None else min(fv - t, bound)
 
     def settled(c, v, f):
@@ -400,11 +390,11 @@ def _restricted_feasible(cx, d, e_div, spaces, bound, verdicts, ends):
         f.update((c, top(c, f[v])) for c in leaves)
         if any(f[c] < -bound for c in leaves):
             return False
-        last = inner.pop() if v in rest and inner and inner[-1] == ends[v][-1] else None
+        last = inner.pop() if inner and inner[-1] == ends[v][-1] else None
         for vals in itertools.product(range(-bound, bound + 1), repeat=len(inner)):
             f.update(zip(inner, vals))
             if last is None:
-                if holds(v, f) and all(settled(c, v, f) for c in inner):
+                if f[(ends[v] or [v])[-1]] in lasts(v, f) and all(settled(c, v, f) for c in inner):
                     return True
                 continue
             for f[last] in lasts(v, f):
@@ -427,15 +417,15 @@ def restricted_rank(cx, d: ComplexDivisor, spaces, validate=False) -> int:
     With validate, the search is rerun with the potential bound widened by
     2 and one more fresh chip site per component, and must give the same
     rank.  A vertex test is monotone in each difference of the potential
-    along its edges, as a larger one only enlarges the bound that a space
-    element must meet; so along the last edge it is one threshold, the
-    least twist (FunctionSpace.least_twist), kept per rest and the others
-    and read by one elimination on the space's Taylor rows at the node.
-    The potentials are searched depth first from model.vertices[0], each
-    subtree once per (vertex, f(parent), f(vertex)); a leaf takes the
-    largest value its threshold allows, and the last child of an oracle
-    vertex starts at the least value the vertex's threshold allows (see
-    _restricted_feasible).
+    along its edges, as a larger one only adds chips or enlarges the bound a
+    space element must meet; so it is one threshold on the last edge: -D(v)
+    less the others at a graphical vertex, at an oracle vertex the least
+    twist (FunctionSpace.least_twist), kept per test chips and the others
+    and read by one elimination on the space's Taylor rows at the node.  The
+    potentials are searched depth first from model.vertices[0], each subtree
+    once per (vertex, f(parent), f(vertex)); a leaf takes the largest value
+    its threshold allows, and a vertex's last child starts at the least
+    value its threshold allows (see _restricted_feasible).
     """
     if any(e.length != 1 for e in cx.model.edges.values()):
         raise InputError("restricted rank needs unit edge lengths")
@@ -500,6 +490,9 @@ def limit_equiv_audit(cx, aspects, root, d: int, r: int) -> AuditReport:
     biconditional."""
     rep = AuditReport()
     ok_crude, violations = crude_limit_check(cx, aspects, d, r)
+    for v in cx.model.vertices:
+        if isinstance(aspects[v], VanishingTable):
+            raise InputError(f"restricted rank needs a function space at {v}, not a vanishing table")
     spaces = {v: aspects[v].space for v in cx.model.vertices}
     div = eqD_divisor(cx, root, {v: aspects[v].divisor for v in cx.model.vertices})
     rr = restricted_rank(cx, div, spaces)

@@ -619,6 +619,17 @@ class TestEqD:
         with pytest.raises(InputError):
             eqD_divisor(cx, "Y", {"Y": oy.divisor((INF, 2)), "Z": oz.divisor((INF, 3))})
 
+    def test_unknown_root_rejected(self):
+        cx = two_lines()
+        divs = {v: cx.oracles[v].divisor((INF, 2)) for v in ("Y", "Z")}
+        with pytest.raises(InputError, match="unknown root 'Q'"):
+            eqD_divisor(cx, "Q", divs)
+
+    def test_missing_divisor_rejected(self):
+        cx = two_lines()
+        with pytest.raises(InputError, match="no aspect divisor at Z"):
+            eqD_divisor(cx, "Y", {"Y": cx.oracles["Y"].divisor((INF, 2))})
+
 
 class TestRestrictedRank:
     def test_constants_cap(self):
@@ -875,11 +886,12 @@ class TestVerdictTable:
 
     @staticmethod
     def graphical_path(vertices, edges, chips):
-        """Projective lines A and B over Q and a graphical vertex g on a path
-        of unit edges, with the given chips at g and one at INF on A; each
-        line meets its first edge at INF and its second at 0."""
+        """Projective lines over Q at every vertex but g, a graphical vertex,
+        on a path of unit edges, with the given chips at g and one at INF on
+        A; each line meets its first edge at INF and its second at 0."""
+        lines = [v for v in vertices if v != "g"]
         model = GraphModel(vertices, [(n, u, v, 1) for n, u, v in edges])
-        oracles = {v: P1Oracle(QQ) for v in ("A", "B")}
+        oracles = {v: P1Oracle(QQ) for v in lines}
         marks = {v: {} for v in oracles}
         for e in model.edges.values():
             for end, w in ((0, e.u), (1, e.v)):
@@ -888,7 +900,7 @@ class TestVerdictTable:
         cx = MetrizedComplex(model, oracles, marks)
         d = cx.divisor(graph_pairs=[(model.vertex_point("g"), chips)] if chips else (),
                        curve_parts={"A": cx.oracles["A"].divisor((INF, 1))})
-        return cx, d, ["A", "B"]
+        return cx, d, lines
 
     @pytest.mark.parametrize("first", ["X", "L0"], ids=["centre-root", "leaf-root"])
     def test_claw(self, monkeypatch, first):
@@ -906,11 +918,17 @@ class TestVerdictTable:
          [1, 0, -1, 0, 1, 0, 0, 0, 1, 0, 1, 0]),
         (["A", "B", "g"], [("e1", "B", "g"), ("e2", "A", "B")],
          [0, 0, -1, 0, 1, 0, 0, 0, 1, 0, 1, 0]),
-    ], ids=["inner-graphical", "graphical-leaf"])
+        (["A", "g", "B", "C"], [("e1", "A", "g"), ("e2", "g", "B"), ("e3", "B", "C")],
+         [0, 0, -1, -1, 1, 0, 0, -1, 1, 0, 1, -1]),
+    ], ids=["inner-graphical", "graphical-leaf", "graphical-inner-child"])
     def test_graphical_vertex(self, monkeypatch, vertices, edges, expected):
         # the graphical vertex's test reads its chips and every difference
-        # at it; as a leaf it takes f(B) plus its chips, which reach B at INF
-        combos = [((0, 1), (0, 1)), ((1,), (0, 1)), ((0, 2), (1, 2)), ((0, 1), (0,))]
+        # at it; as a leaf it takes f(B) plus its chips, which reach B at INF.
+        # Rooted at A on A-g-B-C, g's last edge leads to the inner vertex B,
+        # whose values start at g's threshold.  A path with two lines reads
+        # the first two spaces of each combination.
+        combos = [((0, 1), (0, 1), (0, 1)), ((1,), (0, 1), (0, 1)),
+                  ((0, 2), (1, 2), (0, 1)), ((0, 1), (0,), (1,))]
         ranks = []
         for chips in (0, 1, 2):
             cx, d, names = self.graphical_path(vertices, edges, chips)
@@ -918,13 +936,17 @@ class TestVerdictTable:
                                               validated={0} if chips == 1 else ())
         assert ranks == expected
 
-    @pytest.mark.parametrize("shape", ["claw", "graphical-leaf"])
+    @pytest.mark.parametrize("shape", ["claw", "graphical-leaf", "graphical-inner-child"])
     def test_feasibility_where_the_box_binds(self, shape):
         # at bounds 0-3 the box [-bound, bound] decides some answers, so a
         # leaf's value must be clamped to it and refused below it
         if shape == "claw":
             cx, d, names = self.claw("X")
             combo = ((0, 1), (0, 1), (1,), (0, 2))
+        elif shape == "graphical-inner-child":
+            cx, d, names = self.graphical_path(
+                ["A", "g", "B", "C"], [("e1", "A", "g"), ("e2", "g", "B"), ("e3", "B", "C")], 2)
+            combo = ((0, 1), (0, 1), (0, 1))
         else:
             cx, d, names = self.graphical_path(
                 ["A", "B", "g"], [("e1", "B", "g"), ("e2", "A", "B")], 2)
@@ -1065,6 +1087,17 @@ class TestRestrictedConnectedSum:
 
 
 class TestLimitEquivalence:
+    def test_vanishing_table_aspect_rejected(self):
+        # the crude check reads a vanishing table, the restricted rank needs
+        # a function space
+        cx = two_lines()
+        aspects = {
+            "Y": Aspect(cx.oracles["Y"].divisor((INF, 2)), mono(0, 1)),
+            "Z": VanishingTable({cx.marked_point("Z", "n0", 1): (1, 2)}),
+        }
+        with pytest.raises(InputError, match="function space at Z"):
+            limit_equiv_audit(cx, aspects, "Y", 2, 1)
+
     def test_biconditional_positive(self):
         cx = two_lines()
         oy, oz = cx.oracles["Y"], cx.oracles["Z"]

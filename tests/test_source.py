@@ -142,7 +142,7 @@ def test_readme_names_every_memo_table():
     """Operations touch no state but memo tables declared by constructors,
     and the README names each of them by its attribute."""
     memos = {m for path in PACKAGE for m in _constructor_memos(ast.parse(path.read_text()))}
-    assert {"nonneg_memo", "sites_memo", "refinement_memo", "meets_memo", "local_memo"} <= memos
+    assert {"nonneg_memo", "sites_memo", "refinement_memo", "local_memo"} <= memos
     (para,) = [p for p in README.read_text().split("\n\n") if "memo tables" in p]
     assert [m for m in sorted(memos) if f"`{m}`" not in para] == []
 
